@@ -225,6 +225,120 @@ struct BadLine<'a> {
     snippet: &'a str,
 }
 
+/// The open slot's arrival accumulator: per-edge counts, their total,
+/// and the number of request lines folded in (for `--slot-requests`).
+struct OpenSlot {
+    counts: Vec<u64>,
+    /// `Σ counts`, kept representable: a line that would overflow it is
+    /// rejected (see [`classify_line`]), so every per-edge count and
+    /// every per-slot request total downstream fits in a `u64`.
+    total: u64,
+    lines: usize,
+}
+
+impl OpenSlot {
+    fn new(num_edges: usize) -> Self {
+        Self {
+            counts: vec![0; num_edges],
+            total: 0,
+            lines: 0,
+        }
+    }
+
+    /// Pre-seeds the slot with the arrivals a WAL tail acknowledged.
+    fn seed(&mut self, counts: Vec<u64>, lines: usize) {
+        self.total = counts.iter().fold(0, |sum: u64, &c| sum.saturating_add(c));
+        self.counts = counts;
+        self.lines = lines;
+    }
+
+    /// Folds in one request line [`classify_line`] accepted.
+    fn add(&mut self, edge: usize, count: u64) {
+        self.counts[edge] += count;
+        self.total += count;
+        self.lines += 1;
+    }
+
+    fn clear(&mut self) {
+        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.total = 0;
+        self.lines = 0;
+    }
+}
+
+/// Classifies one raw wire line (without its newline) against the open
+/// slot: `Ok(None)` for a blank line, `Err(reason)` for a line to reject
+/// under `--max-bad-lines` — oversized, non-UTF-8, malformed, or a
+/// count that would overflow the slot's request total. Rejection
+/// happens before the line touches the accumulator or the WAL, so a
+/// live run and its recovery always fold the same arrivals.
+fn classify_line(
+    line: &[u8],
+    max_line_bytes: usize,
+    use_fast: bool,
+    open: &OpenSlot,
+) -> Result<Option<WireLine>, String> {
+    let num_edges = open.counts.len();
+    // The reader's memory bound only catches lines that span read
+    // chunks; one that arrived whole inside a block is rejected here,
+    // with the same reason and accounting.
+    if line.len() > max_line_bytes {
+        return Err(format!(
+            "line exceeds --max-line-bytes {max_line_bytes} ({} bytes discarded)",
+            line.len()
+        ));
+    }
+    // Fast path first (`--wire-decode fast`): a hit is certain to match
+    // the strict path, and is pure ASCII, so the UTF-8/trim/parse
+    // pipeline below can be skipped outright.
+    let fast = if use_fast {
+        wire::decode_fast(line, num_edges)
+    } else {
+        None
+    };
+    let parsed = match fast {
+        Some(msg) => msg,
+        None => {
+            let text = std::str::from_utf8(line)
+                .map_err(|_| format!("non-UTF-8 line ({} bytes)", line.len()))?;
+            let trimmed = text.trim();
+            if trimmed.is_empty() {
+                return Ok(None);
+            }
+            parse_line(trimmed, num_edges)?
+        }
+    };
+    if let WireLine::Request { count, .. } = parsed {
+        if open.total.checked_add(count).is_none() {
+            return Err(format!(
+                "count overflows the slot accumulator ({} requests already in this \
+                 slot, +{count})",
+                open.total
+            ));
+        }
+    }
+    Ok(Some(parsed))
+}
+
+/// Counts one rejected wire line against `--max-bad-lines` and reports
+/// it to operators; returns the fatal error once the budget is spent.
+fn reject_line(
+    bad: &BadLine<'_>,
+    slot: u64,
+    bad_lines: &mut u64,
+    opts: &Options,
+    ops: &mut DaemonOps,
+) -> Option<String> {
+    *bad_lines += 1;
+    ops.record_bad_line(bad, slot, *bad_lines, opts.max_bad_lines);
+    (*bad_lines > opts.max_bad_lines).then(|| {
+        format!(
+            "too many bad wire lines ({} rejected, --max-bad-lines {})",
+            *bad_lines, opts.max_bad_lines
+        )
+    })
+}
+
 /// Flushes the group-commit buffer: every applied-but-unlogged arrival
 /// pair of the open slot goes out as one multi-pair WAL record. The
 /// write-ahead invariant holds at batch granularity — a flush always
@@ -631,7 +745,12 @@ struct DaemonOps {
 }
 
 impl DaemonOps {
-    fn new(session: &ServeSession<'_>, run_seed: u64, admin: Option<Arc<AdminState>>) -> Self {
+    fn new(
+        session: &ServeSession<'_>,
+        run_seed: u64,
+        startup: &StartupTimes,
+        admin: Option<Arc<AdminState>>,
+    ) -> Self {
         let mut rec = Recorder::new();
         rec.set_label("policy", session.policy_name());
         rec.set_label("seed", run_seed.to_string());
@@ -640,6 +759,9 @@ impl DaemonOps {
         // restricts its live-vs-recomputed cross-check accordingly.
         rec.gauge("serve.start_slot", session.next_slot() as f64);
         rec.gauge("serve.horizon", session.horizon() as f64);
+        rec.gauge("serve.startup.zoo_train_ms", startup.zoo_train_ms);
+        rec.gauge("serve.startup.session_ms", startup.session_ms);
+        rec.gauge("serve.startup.wal_open_ms", startup.wal_open_ms);
         Self {
             rec,
             admin,
@@ -836,12 +958,28 @@ fn json_value(value: &Value) -> Json {
     }
 }
 
+/// Wall-clock cost of each startup phase, in milliseconds: training
+/// the model zoo, building (or resuming) the session, and opening the
+/// WAL and replaying its tail. Reported in the startup banner and as
+/// `serve.startup.*` ops gauges; never part of the deterministic trace.
+#[derive(Debug, Default)]
+struct StartupTimes {
+    zoo_train_ms: f64,
+    session_ms: f64,
+    wal_open_ms: f64,
+}
+
+fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
+}
+
 /// The one-line structured startup banner, written to stderr so it
 /// never interleaves with the stdout summary or a piped trace.
 fn startup_banner(
     opts: &Options,
     session: &ServeSession<'_>,
     run_seed: u64,
+    startup: &StartupTimes,
     scenario: Option<&str>,
     admin_addr: Option<&str>,
 ) {
@@ -898,6 +1036,18 @@ fn startup_banner(
             Json::UInt(opts.max_line_bytes as u64),
         ),
         ("max_bad_lines".to_owned(), Json::UInt(opts.max_bad_lines)),
+        (
+            "zoo_train_ms".to_owned(),
+            Json::UInt(startup.zoo_train_ms.round() as u64),
+        ),
+        (
+            "session_ms".to_owned(),
+            Json::UInt(startup.session_ms.round() as u64),
+        ),
+        (
+            "wal_open_ms".to_owned(),
+            Json::UInt(startup.wal_open_ms.round() as u64),
+        ),
     ]);
     eprintln!("{}", banner.encode());
 }
@@ -921,9 +1071,22 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 
     let mut config = build_config(opts)?;
     if let Some(slots) = opts.slots {
+        let trace = config.workload.total_slots();
+        if slots > trace {
+            return Err(format!(
+                "--slots {slots} exceeds the workload trace, which has {trace} slots{} — \
+                 pass --slots {trace} or fewer",
+                if opts.quick { " under --quick" } else { "" }
+            ));
+        }
         config.horizon = slots;
     }
+    let started = Instant::now();
     let zoo = build_zoo(opts);
+    let mut startup = StartupTimes {
+        zoo_train_ms: ms_since(started),
+        ..StartupTimes::default()
+    };
     let scenario = config.faults.as_ref().map(|s| s.name.clone());
     let serve_opts = ServeOptions {
         serve_mode: if opts.serve_per_request {
@@ -940,6 +1103,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     };
 
     let mut run_seed = opts.seed;
+    let started = Instant::now();
     let mut session = if let Some(path) = &opts.resume {
         if Path::new(path).exists() || opts.wal.is_none() {
             let ckpt = Checkpoint::load(Path::new(path))?;
@@ -965,8 +1129,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     } else {
         ServeSession::new(config, &zoo, opts.seed, combo, &serve_opts)
     };
+    startup.session_ms = ms_since(started);
 
     // --- durability: open the WAL and replay its tail ---------------
+    let started = Instant::now();
     let mut wal_seed_open: Option<(Vec<u64>, u64)> = None;
     let wal_handle = if let Some(dir) = &opts.wal {
         let dir_path = Path::new(dir);
@@ -1013,6 +1179,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         None
     };
     let mut dur = Durability::new(wal_handle);
+    startup.wal_open_ms = ms_since(started);
 
     if let Some(k) = opts.halt_at_slot {
         if k <= session.next_slot() || k >= session.horizon() {
@@ -1037,11 +1204,17 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         })
         .transpose()?;
     let admin_addr = admin_state.as_ref().map(|(_, bound)| bound.clone());
-    let mut ops = DaemonOps::new(&session, run_seed, admin_state.map(|(state, _)| state));
+    let mut ops = DaemonOps::new(
+        &session,
+        run_seed,
+        &startup,
+        admin_state.map(|(state, _)| state),
+    );
     startup_banner(
         opts,
         &session,
         run_seed,
+        &startup,
         scenario.as_deref(),
         admin_addr.as_deref(),
     );
@@ -1057,14 +1230,11 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         session.num_edges()
     );
 
-    let num_edges = session.num_edges();
-    let mut open: Vec<u64> = vec![0; num_edges];
-    let mut requests_in_slot: usize = 0;
+    let mut open = OpenSlot::new(session.num_edges());
     if let Some((recovered, lines)) = wal_seed_open.take() {
         // The WAL tail ended mid-slot: pre-seed the accumulator with
         // the arrivals already acknowledged for the open slot.
-        open.copy_from_slice(&recovered);
-        requests_in_slot = lines as usize;
+        open.seed(recovered, lines as usize);
     }
     let mut bad_lines: u64 = 0;
     // Group-commit buffer: arrival pairs applied to `open` but not yet
@@ -1102,13 +1272,12 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             // with zero arrivals so the run still settles cleanly.
             // (`pending` is empty here — every block was flushed when
             // it finished processing, and EOF arrives between blocks.)
-            if requests_in_slot == 0 {
-                open.iter_mut().for_each(|c| *c = 0);
+            if open.lines == 0 {
+                open.clear();
             }
             close_slot(
                 &mut session,
                 &mut open,
-                &mut requests_in_slot,
                 &mut deadline,
                 opts,
                 &mut ops,
@@ -1133,7 +1302,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                     close_slot(
                         &mut session,
                         &mut open,
-                        &mut requests_in_slot,
                         &mut deadline,
                         opts,
                         &mut ops,
@@ -1165,30 +1333,15 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                 offset,
                 snippet,
             } => {
-                bad_lines += 1;
-                ops.record_bad_line(
-                    &BadLine {
-                        reason: &reason,
-                        offset,
-                        snippet: &snippet,
-                    },
-                    session.next_slot() as u64,
-                    bad_lines,
-                    opts.max_bad_lines,
-                );
-                if bad_lines > opts.max_bad_lines {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-                    return fail_serve(
-                        &session,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                        format!(
-                            "too many bad wire lines ({bad_lines} rejected, \
-                             --max-bad-lines {})",
-                            opts.max_bad_lines
-                        ),
-                    );
+                let bad = BadLine {
+                    reason: &reason,
+                    offset,
+                    snippet: &snippet,
+                };
+                let slot = session.next_slot() as u64;
+                if let Some(error) = reject_line(&bad, slot, &mut bad_lines, opts, &mut ops) {
+                    flush_arrivals(&mut pending, slot, &mut dur, &mut ops);
+                    return fail_serve(&session, opts, &mut ops, &mut dur, error);
                 }
                 continue;
             }
@@ -1211,130 +1364,21 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                 Some(b'\n') => &raw[..raw.len() - 1],
                 _ => raw,
             };
-            // The reader's memory bound only catches lines that span
-            // read chunks; one that arrived whole inside a block is
-            // rejected here, with the same reason and accounting.
-            if line.len() > opts.max_line_bytes {
-                let reason = format!(
-                    "line exceeds --max-line-bytes {} ({} bytes discarded)",
-                    opts.max_line_bytes,
-                    line.len()
-                );
-                bad_lines += 1;
-                ops.record_bad_line(
-                    &BadLine {
+            let parsed = match classify_line(line, opts.max_line_bytes, use_fast, &open) {
+                Ok(Some(parsed)) => parsed,
+                Ok(None) => continue,
+                Err(reason) => {
+                    let bad = BadLine {
                         reason: &reason,
                         offset: at,
                         snippet: &snippet_of(line),
-                    },
-                    session.next_slot() as u64,
-                    bad_lines,
-                    opts.max_bad_lines,
-                );
-                if bad_lines > opts.max_bad_lines {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-                    return fail_serve(
-                        &session,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                        format!(
-                            "too many bad wire lines ({bad_lines} rejected, \
-                             --max-bad-lines {})",
-                            opts.max_bad_lines
-                        ),
-                    );
-                }
-                continue;
-            }
-            // Fast path first (`--wire-decode fast`): a hit is certain
-            // to match the strict path, and is pure ASCII, so the
-            // UTF-8/trim/parse pipeline below can be skipped outright.
-            let fast = if use_fast {
-                wire::decode_fast(line, num_edges)
-            } else {
-                None
-            };
-            let parsed = match fast {
-                Some(msg) => msg,
-                None => {
-                    let text = match std::str::from_utf8(line) {
-                        Ok(text) => text,
-                        Err(_) => {
-                            let reason = format!("non-UTF-8 line ({} bytes)", line.len());
-                            bad_lines += 1;
-                            ops.record_bad_line(
-                                &BadLine {
-                                    reason: &reason,
-                                    offset: at,
-                                    snippet: &snippet_of(line),
-                                },
-                                session.next_slot() as u64,
-                                bad_lines,
-                                opts.max_bad_lines,
-                            );
-                            if bad_lines > opts.max_bad_lines {
-                                flush_arrivals(
-                                    &mut pending,
-                                    session.next_slot() as u64,
-                                    &mut dur,
-                                    &mut ops,
-                                );
-                                return fail_serve(
-                                    &session,
-                                    opts,
-                                    &mut ops,
-                                    &mut dur,
-                                    format!(
-                                        "too many bad wire lines ({bad_lines} rejected, \
-                                         --max-bad-lines {})",
-                                        opts.max_bad_lines
-                                    ),
-                                );
-                            }
-                            continue;
-                        }
                     };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
+                    let slot = session.next_slot() as u64;
+                    if let Some(error) = reject_line(&bad, slot, &mut bad_lines, opts, &mut ops) {
+                        flush_arrivals(&mut pending, slot, &mut dur, &mut ops);
+                        return fail_serve(&session, opts, &mut ops, &mut dur, error);
                     }
-                    match parse_line(trimmed, num_edges) {
-                        Ok(parsed) => parsed,
-                        Err(reason) => {
-                            bad_lines += 1;
-                            ops.record_bad_line(
-                                &BadLine {
-                                    reason: &reason,
-                                    offset: at,
-                                    snippet: &snippet_of(line),
-                                },
-                                session.next_slot() as u64,
-                                bad_lines,
-                                opts.max_bad_lines,
-                            );
-                            if bad_lines > opts.max_bad_lines {
-                                flush_arrivals(
-                                    &mut pending,
-                                    session.next_slot() as u64,
-                                    &mut dur,
-                                    &mut ops,
-                                );
-                                return fail_serve(
-                                    &session,
-                                    opts,
-                                    &mut ops,
-                                    &mut dur,
-                                    format!(
-                                        "too many bad wire lines ({bad_lines} rejected, \
-                                         --max-bad-lines {})",
-                                        opts.max_bad_lines
-                                    ),
-                                );
-                            }
-                            continue;
-                        }
-                    }
+                    continue;
                 }
             };
             match parsed {
@@ -1342,11 +1386,11 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                     // Write-ahead at batch granularity: the pair joins
                     // the group-commit buffer now and is WAL-appended
                     // (one multi-pair record) before the slot closes
-                    // or the block ends.
+                    // or the block ends. `classify_line` has already
+                    // rejected a count that would overflow the slot.
                     pending.push((edge as u64, count));
-                    open[edge] += count;
-                    requests_in_slot += 1;
-                    if opts.slot_requests.is_some_and(|n| requests_in_slot >= n) {
+                    open.add(edge, count);
+                    if opts.slot_requests.is_some_and(|n| open.lines >= n) {
                         flush_arrivals(
                             &mut pending,
                             session.next_slot() as u64,
@@ -1356,7 +1400,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                         close_slot(
                             &mut session,
                             &mut open,
-                            &mut requests_in_slot,
                             &mut deadline,
                             opts,
                             &mut ops,
@@ -1369,7 +1412,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                     close_slot(
                         &mut session,
                         &mut open,
-                        &mut requests_in_slot,
                         &mut deadline,
                         opts,
                         &mut ops,
@@ -1424,14 +1466,13 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 /// the daemon.
 fn close_slot(
     session: &mut ServeSession<'_>,
-    open: &mut [u64],
-    requests_in_slot: &mut usize,
+    open: &mut OpenSlot,
     deadline: &mut Option<Instant>,
     opts: &Options,
     ops: &mut DaemonOps,
     dur: &mut Durability,
 ) -> Result<(), String> {
-    let requests: u64 = open.iter().sum();
+    let requests = open.total;
     dur.append(
         &WalRecord::SlotClose {
             slot: session.next_slot() as u64,
@@ -1439,10 +1480,9 @@ fn close_slot(
         ops,
     );
     let started = Instant::now();
-    session.push_slot(open);
+    session.push_slot(&open.counts);
     let slot_wall_us = started.elapsed().as_secs_f64() * 1e6;
-    open.iter_mut().for_each(|c| *c = 0);
-    *requests_in_slot = 0;
+    open.clear();
     *deadline = opts
         .slot_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -1571,6 +1611,50 @@ mod tests {
             parse_line("{\"slot_end\": true}", 4),
             Ok(WireLine::SlotEnd)
         ));
+    }
+
+    /// Folds wire lines into one slot's accumulator exactly as the
+    /// serve loop does; returns the accumulator and the reject reasons.
+    fn fold_slot(lines: &[&str], num_edges: usize, use_fast: bool) -> (Vec<u64>, Vec<String>) {
+        let mut open = OpenSlot::new(num_edges);
+        let mut rejected = Vec::new();
+        for line in lines {
+            match classify_line(line.as_bytes(), 1024, use_fast, &open) {
+                Ok(Some(WireLine::Request { edge, count })) => open.add(edge, count),
+                Ok(Some(WireLine::SlotEnd) | None) => {}
+                Err(reason) => rejected.push(reason),
+            }
+        }
+        (open.counts, rejected)
+    }
+
+    #[test]
+    fn count_overflow_is_one_bad_line_and_never_folded() {
+        let max = format!("{{\"edge\":1,\"count\":{}}}", u64::MAX);
+        for use_fast in [false, true] {
+            let (open, rejected) = fold_slot(&[&max, "{\"edge\":1,\"count\":2}"], 2, use_fast);
+            assert_eq!(open, vec![0, u64::MAX], "fast={use_fast}");
+            assert_eq!(rejected.len(), 1, "fast={use_fast}: {rejected:?}");
+            assert!(
+                rejected[0].starts_with("count overflows the slot accumulator"),
+                "{}",
+                rejected[0]
+            );
+            // The bound is the slot's total, across edges; a count that
+            // still fits is folded.
+            let (open, rejected) = fold_slot(
+                &[
+                    "{\"edge\":0,\"count\":2}",
+                    &format!("{{\"edge\":1,\"count\":{}}}", u64::MAX - 2),
+                    "{\"edge\":0,\"count\":1}",
+                    "{\"edge\":1,\"count\":0}",
+                ],
+                2,
+                use_fast,
+            );
+            assert_eq!(open, vec![2, u64::MAX - 2]);
+            assert_eq!(rejected.len(), 1, "{rejected:?}");
+        }
     }
 
     #[test]

@@ -515,6 +515,145 @@ fn bad_line_budget_is_enforced_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `count` that would overflow the slot's request total is rejected
+/// as a bad line before it reaches the accumulator or the WAL, so the
+/// live run and its recovery fold identical arrivals: a daemon
+/// SIGKILLed in the open slot right after a `count=u64::MAX` line and a
+/// rejected `count=2` line resumes byte-identically to an uninterrupted
+/// run over the same hostile stream.
+#[test]
+fn count_overflow_is_rejected_and_resumes_bit_identically() {
+    // The hostile lines open slot 5, where edge 0 has no ordinary
+    // traffic: u64::MAX fits, and every later request of the slot
+    // (the `count=2` line, then edges 1–3's rows) would overflow it.
+    const SLOT: usize = 5;
+    assert_eq!(rows()[SLOT][0], 0);
+    let overflowing = 1 + rows()[SLOT].iter().filter(|&&c| c > 0).count();
+    let hostile = [
+        format!("{{\"edge\":0,\"count\":{}}}", u64::MAX),
+        "{\"edge\":0,\"count\":2}".to_owned(),
+    ];
+    let mut lines = full_stream();
+    let slot_start = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.contains("slot_end"))
+        .nth(SLOT - 1)
+        .map(|(i, _)| i + 1)
+        .expect("slot boundary");
+    lines.splice(slot_start..slot_start, hostile.iter().cloned());
+
+    let dir = temp_dir("count-overflow");
+    let out = dir.join("ref.jsonl");
+    let output = run_to_completion(
+        serve_cmd(false, &["--telemetry", out.to_str().expect("utf-8 path")]),
+        &lines,
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "hostile reference run failed: {stderr}"
+    );
+    let rejected: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("\"event\":\"bad_line\""))
+        .collect();
+    assert_eq!(rejected.len(), overflowing, "{stderr}");
+    assert!(
+        rejected[0].contains(r#""snippet":"{\"edge\":0,\"count\":2}""#),
+        "the count=2 line must be the first rejected: {}",
+        rejected[0]
+    );
+    for line in &rejected {
+        assert!(
+            line.contains("count overflows the slot accumulator"),
+            "{line}"
+        );
+    }
+    let reference = std::fs::read(&out).expect("reference telemetry");
+
+    // Kill inside the hostile slot, after both hostile lines and one
+    // (rejected) ordinary request have been processed.
+    let waldir = dir.join("wal");
+    let ckpt = dir.join("state.ckpt");
+    run_and_kill(
+        serve_cmd(
+            false,
+            &[
+                "--checkpoint",
+                ckpt.to_str().expect("utf-8 path"),
+                "--checkpoint-every",
+                "3",
+                "--wal",
+                waldir.to_str().expect("utf-8 path"),
+                "--wal-sync",
+                "every",
+                "--telemetry",
+                dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+            ],
+        ),
+        &lines,
+        slot_start + hostile.len() + 1,
+        &waldir,
+    );
+    let (cursor, open) = recovered_state(&ckpt, &waldir);
+    assert_eq!(cursor, SLOT, "killed in the wrong slot");
+    assert_eq!(
+        open[0],
+        u64::MAX,
+        "the WAL must hold the accepted count and nothing of the rejected one"
+    );
+    // The source re-sends the open slot's unacknowledged remainder —
+    // rejected again on resume, exactly as in the reference; edge 0's
+    // hostile count is already acknowledged in full.
+    let mut acknowledged = open.clone();
+    acknowledged[0] = 0;
+    let out = dir.join("resumed.jsonl");
+    let output = run_to_completion(
+        serve_cmd(
+            false,
+            &[
+                "--resume",
+                ckpt.to_str().expect("utf-8 path"),
+                "--wal",
+                waldir.to_str().expect("utf-8 path"),
+                "--telemetry",
+                out.to_str().expect("utf-8 path"),
+            ],
+        ),
+        &remainder_stream(cursor, &acknowledged),
+    );
+    assert!(
+        output.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&out).expect("resumed telemetry"),
+        reference,
+        "telemetry diverged after resuming across a count overflow"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--slots` beyond the workload trace is an actionable startup error
+/// naming the trace length, never a panic.
+#[test]
+fn slots_beyond_the_workload_trace_is_an_error() {
+    let output = Command::new(BIN)
+        .args(["serve", "--quick", "--edges", "2", "--slots", "41"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run daemon");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("--slots 41 exceeds the workload trace, which has 40 slots"),
+        "{stderr}"
+    );
+}
+
 /// A persistently failing checkpoint path flips the daemon into
 /// degraded-durability mode (structured event, retries logged) but the
 /// run itself keeps serving and still produces the reference trace.

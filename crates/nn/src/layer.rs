@@ -5,9 +5,10 @@
 //! (`[ch0 t0..tL, ch1 t0..tL, …]`); the synthetic tasks' feature vectors
 //! play the role of the image pixels in the paper's CNNs.
 //!
-//! Each layer caches what it needs during `forward` and accumulates
-//! parameter gradients during `backward`; `step` applies one SGD update
-//! and clears the gradients.
+//! Each layer caches what it needs during `forward` (taking ownership
+//! of its input rather than copying it) and accumulates parameter
+//! gradients during `backward`; `step` applies one SGD update and
+//! clears the gradients.
 
 use cne_util::SeedSequence;
 
@@ -27,8 +28,9 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass; caches whatever the backward pass needs.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// Forward pass; caches whatever the backward pass needs (the
+    /// input itself, for the layers that need it).
+    pub fn forward(&mut self, x: Matrix) -> Matrix {
         match self {
             Layer::Dense(l) => l.forward(x),
             Layer::Relu(l) => l.forward(x),
@@ -45,6 +47,17 @@ impl Layer {
             Layer::Relu(l) => l.backward(grad_out),
             Layer::Conv1d(l) => l.backward(grad_out),
             Layer::MaxPool1d(l) => l.backward(grad_out),
+        }
+    }
+
+    /// Backward pass that only accumulates parameter gradients — for
+    /// the first layer of a network, whose `∂L/∂input` nobody reads.
+    /// The parameter gradients are exactly those of [`Layer::backward`].
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        match self {
+            Layer::Dense(l) => l.backward_params(grad_out),
+            Layer::Conv1d(l) => l.backward_params(grad_out),
+            Layer::Relu(_) | Layer::MaxPool1d(_) => {}
         }
     }
 
@@ -137,15 +150,16 @@ impl Dense {
         &mut self.bias
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    fn forward(&mut self, x: Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_features, "dense input width mismatch");
         let mut y = x.matmul(&self.weight);
         y.add_row_broadcast(&self.bias);
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         y
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    /// Accumulates the parameter gradients.
+    fn backward_params(&mut self, grad_out: &Matrix) {
         let x = self
             .cached_input
             .as_ref()
@@ -154,6 +168,11 @@ impl Dense {
         for (g, s) in self.grad_bias.iter_mut().zip(grad_out.column_sums()) {
             *g += s;
         }
+    }
+
+    /// Accumulates the parameter gradients and returns `∂L/∂input`.
+    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_params(grad_out);
         grad_out.matmul_transpose(&self.weight)
     }
 
@@ -188,11 +207,11 @@ impl Relu {
         }
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    fn forward(&mut self, x: Matrix) -> Matrix {
         assert_eq!(x.cols(), self.width, "relu input width mismatch");
         let mut y = x.clone();
         y.map_inplace(|v| v.max(0.0));
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         y
     }
 
@@ -273,7 +292,7 @@ impl Conv1d {
         &mut self.bias
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    fn forward(&mut self, x: Matrix) -> Matrix {
         assert_eq!(
             x.cols(),
             self.in_channels * self.len,
@@ -299,24 +318,45 @@ impl Conv1d {
                 }
             }
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         y
     }
 
+    /// Accumulates the parameter gradients and returns `∂L/∂input`.
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let mut grad_in = Matrix::zeros(grad_out.rows(), self.in_channels * self.len);
+        self.accumulate_grads(grad_out, Some(&mut grad_in));
+        grad_in
+    }
+
+    /// Accumulates the parameter gradients only.
+    fn backward_params(&mut self, grad_out: &Matrix) {
+        self.accumulate_grads(grad_out, None);
+    }
+
+    /// Adds this batch's parameter gradients into `grad_weight` and
+    /// `grad_bias`, and `∂L/∂input` into `grad_in` when given.
+    ///
+    /// Every accumulator receives the same additions in the same order
+    /// as the element-wise original (kept as the test oracle): the loop
+    /// nest is unchanged, only the kernel taps became slice updates.
+    fn accumulate_grads(&mut self, grad_out: &Matrix, mut grad_in: Option<&mut Matrix>) {
         let x = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
+        let (len, kernel) = (self.len, self.kernel);
         let out_len = self.out_len();
+        let fan_in = self.in_channels * kernel;
         assert_eq!(grad_out.cols(), self.out_channels * out_len);
-        let mut grad_in = Matrix::zeros(x.rows(), x.cols());
+        assert_eq!(grad_out.rows(), x.rows(), "conv batch size mismatch");
         for b in 0..x.rows() {
             let xin = x.row(b);
             let gout = grad_out.row(b);
+            let mut gin = grad_in.as_mut().map(|m| m.row_mut(b));
             for oc in 0..self.out_channels {
                 let w_row = self.weight.row(oc);
-                let gw_row_start = oc;
+                let gw_row = &mut self.grad_weight.as_mut_slice()[oc * fan_in..(oc + 1) * fan_in];
                 for p in 0..out_len {
                     let g = gout[oc * out_len + p];
                     if g == 0.0 {
@@ -324,19 +364,21 @@ impl Conv1d {
                     }
                     self.grad_bias[oc] += g;
                     for ic in 0..self.in_channels {
-                        for k in 0..self.kernel {
-                            let xi = ic * self.len + p + k;
-                            // dW[oc][ic*kernel + k] += g * x
-                            let col = ic * self.kernel + k;
-                            let cur = self.grad_weight.get(gw_row_start, col);
-                            self.grad_weight.set(gw_row_start, col, cur + g * xin[xi]);
-                            grad_in.row_mut(b)[xi] += g * w_row[col];
+                        let taps = ic * len + p..ic * len + p + kernel;
+                        let cols = ic * kernel..(ic + 1) * kernel;
+                        // dW[oc][ic·kernel + k] += g · x[ic·len + p + k]
+                        for (gw, &xv) in gw_row[cols.clone()].iter_mut().zip(&xin[taps.clone()]) {
+                            *gw += g * xv;
+                        }
+                        if let Some(gin) = gin.as_deref_mut() {
+                            for (gi, &wv) in gin[taps].iter_mut().zip(&w_row[cols]) {
+                                *gi += g * wv;
+                            }
                         }
                     }
                 }
             }
         }
-        grad_in
     }
 
     fn step(&mut self, lr: f64) {
@@ -387,7 +429,7 @@ impl MaxPool1d {
         self.len / self.width
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
+    fn forward(&mut self, x: Matrix) -> Matrix {
         assert_eq!(x.cols(), self.channels * self.len, "pool width mismatch");
         let out_len = self.out_len();
         let mut y = Matrix::zeros(x.rows(), self.channels * out_len);
@@ -438,6 +480,8 @@ impl MaxPool1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     /// Finite-difference gradient check helper: compares analytic input
     /// gradient with numeric differentiation of a scalar loss
@@ -445,7 +489,7 @@ mod tests {
     fn check_input_gradient(mut layer: Layer, in_width: usize) {
         let seed = SeedSequence::new(99);
         let x = Matrix::random_uniform(3, in_width, 1.0, seed.derive("x"));
-        let y = layer.forward(&x);
+        let y = layer.forward(x.clone());
         let g = Matrix::random_uniform(y.rows(), y.cols(), 1.0, seed.derive("g"));
         let analytic = layer.backward(&g);
         let eps = 1e-5;
@@ -455,7 +499,7 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let loss = |m: &Matrix, layer: &mut Layer| -> f64 {
+                let loss = |m: Matrix, layer: &mut Layer| -> f64 {
                     let y = layer.forward(m);
                     y.as_slice()
                         .iter()
@@ -463,8 +507,8 @@ mod tests {
                         .map(|(a, b)| a * b)
                         .sum()
                 };
-                let lp = loss(&xp, &mut layer);
-                let lm = loss(&xm, &mut layer);
+                let lp = loss(xp, &mut layer);
+                let lm = loss(xm, &mut layer);
                 let numeric = (lp - lm) / (2.0 * eps);
                 let a = analytic.get(r, c);
                 assert!(
@@ -481,7 +525,7 @@ mod tests {
         // Overwrite with known weights.
         d.weight = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         d.bias = vec![0.5, -0.5];
-        let y = d.forward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        let y = d.forward(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -506,7 +550,7 @@ mod tests {
     #[test]
     fn conv_output_shape() {
         let mut c = Conv1d::new(1, 4, 3, 16, SeedSequence::new(4));
-        let y = c.forward(&Matrix::zeros(2, 16));
+        let y = c.forward(Matrix::zeros(2, 16));
         assert_eq!(y.shape(), (2, 4 * 14));
         assert_eq!(c.out_len(), 14);
     }
@@ -514,7 +558,7 @@ mod tests {
     #[test]
     fn pool_forward_and_gradient_routing() {
         let mut p = MaxPool1d::new(1, 4, 2);
-        let y = p.forward(&Matrix::from_vec(1, 4, vec![1.0, 5.0, 2.0, 0.0]));
+        let y = p.forward(Matrix::from_vec(1, 4, vec![1.0, 5.0, 2.0, 0.0]));
         assert_eq!(y.as_slice(), &[5.0, 2.0]);
         let g = p.backward(&Matrix::from_vec(1, 2, vec![10.0, 20.0]));
         assert_eq!(g.as_slice(), &[0.0, 10.0, 20.0, 0.0]);
@@ -526,7 +570,7 @@ mod tests {
         let mut d = Dense::new(3, 2, seed.derive("layer"));
         let x = Matrix::random_uniform(4, 3, 1.0, seed.derive("x"));
         let g = Matrix::random_uniform(4, 2, 1.0, seed.derive("g"));
-        let _ = d.forward(&x);
+        let _ = d.forward(x.clone());
         let _ = d.backward(&g);
         let analytic = d.grad_weight.clone();
         let eps = 1e-5;
@@ -535,7 +579,7 @@ mod tests {
                 let orig = d.weight.get(r, c);
                 let eval = |d: &mut Dense, v: f64| {
                     d.weight.set(r, c, v);
-                    let y = d.forward(&x);
+                    let y = d.forward(x.clone());
                     let s: f64 = y
                         .as_slice()
                         .iter()
@@ -558,7 +602,7 @@ mod tests {
     fn step_moves_weights_and_clears_grads() {
         let mut d = Dense::new(2, 2, SeedSequence::new(8));
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let _ = d.forward(&x);
+        let _ = d.forward(x.clone());
         let _ = d.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         let before = d.weight.clone();
         d.step(0.1);
@@ -574,5 +618,100 @@ mod tests {
             Conv1d::new(2, 3, 3, 8, SeedSequence::new(10)).param_count(),
             2 * 3 * 3 + 3
         );
+    }
+
+    /// The original element-wise `Conv1d::backward` (`get`/`set` per
+    /// weight tap, `row_mut` per input tap): the oracle the slice
+    /// kernel must match bit for bit.
+    fn conv_backward_reference(conv: &mut Conv1d, grad_out: &Matrix) -> Matrix {
+        let x = conv
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
+        let out_len = conv.out_len();
+        assert_eq!(grad_out.cols(), conv.out_channels * out_len);
+        let mut grad_in = Matrix::zeros(x.rows(), x.cols());
+        for b in 0..x.rows() {
+            let xin = x.row(b);
+            let gout = grad_out.row(b);
+            for oc in 0..conv.out_channels {
+                let w_row = conv.weight.row(oc);
+                for p in 0..out_len {
+                    let g = gout[oc * out_len + p];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    conv.grad_bias[oc] += g;
+                    for ic in 0..conv.in_channels {
+                        for k in 0..conv.kernel {
+                            let xi = ic * conv.len + p + k;
+                            let col = ic * conv.kernel + k;
+                            let cur = conv.grad_weight.get(oc, col);
+                            conv.grad_weight.set(oc, col, cur + g * xin[xi]);
+                            grad_in.row_mut(b)[xi] += g * w_row[col];
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A cotangent in which a seed-chosen share of entries is an exact
+    /// (signed) zero, as after a ReLU mask.
+    fn relu_zeroed(rows: usize, cols: usize, zero_pct: u64, seed: u64) -> Matrix {
+        let mut rng = SeedSequence::new(seed).rng();
+        Matrix::from_fn(rows, cols, |_, _| {
+            let roll: u64 = rng.gen_range(0..100);
+            if roll < zero_pct {
+                if roll % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else {
+                rng.gen_range(-1.5..1.5)
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Slice-accumulating `Conv1d::backward` is `to_bits`-identical
+        /// to the element-wise original — input gradient, weight and
+        /// bias gradients, accumulated over two batches — and the
+        /// parameter-only pass yields the same parameter gradients.
+        #[test]
+        fn conv_backward_matches_reference_bits(
+            (in_ch, out_ch, kernel) in (1usize..4, 1usize..5, 1usize..5),
+            extra_len in 0usize..9, batch in 0usize..5,
+            zero_pct in 0u64..101, seed in 0u64..1_000_000,
+        ) {
+            let len = kernel + extra_len;
+            let conv = Conv1d::new(in_ch, out_ch, kernel, len, SeedSequence::new(seed));
+            let (mut fast, mut slow, mut params) = (conv.clone(), conv.clone(), conv);
+            for step in 0..2u64 {
+                let x = relu_zeroed(batch, in_ch * len, zero_pct / 2, seed ^ (step + 1));
+                let g = relu_zeroed(batch, out_ch * fast.out_len(), zero_pct, seed ^ (step + 7));
+                let _ = fast.forward(x.clone());
+                let _ = slow.forward(x.clone());
+                let _ = params.forward(x);
+                let got = fast.backward(&g);
+                let want = conv_backward_reference(&mut slow, &g);
+                params.backward_params(&g);
+                prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+            }
+            for other in [&fast, &params] {
+                prop_assert_eq!(
+                    bits(other.grad_weight.as_slice()),
+                    bits(slow.grad_weight.as_slice())
+                );
+                prop_assert_eq!(bits(&other.grad_bias), bits(&slow.grad_bias));
+            }
+        }
     }
 }

@@ -192,20 +192,33 @@ impl Matrix {
         out
     }
 
-    /// `self · rhsᵀ` without materializing the transpose.
+    /// `self · rhsᵀ`.
+    ///
+    /// Bit-identical to the row-by-row dot products
+    /// `Σ_k self[i,k]·rhs[j,k]` summed with [`Iterator::sum`]: every
+    /// output starts from the same identity `sum` starts from and adds
+    /// its products in `k` order. The loop runs i-k-j over a transposed
+    /// copy of `rhs`, so the innermost loop updates a contiguous output
+    /// row and vectorizes, where the dot-product reduction cannot
+    /// (reassociating it would change the rounding).
     ///
     /// # Panics
     /// Panics unless `self.cols == rhs.cols`.
     #[must_use]
     pub fn matmul_transpose(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_transpose shape mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let rhs_t = rhs.transpose();
+        // −0.0 on current toolchains, +0.0 on older ones.
+        let identity: f64 = std::iter::empty::<f64>().sum();
+        let mut out = Matrix::from_vec(self.rows, rhs.rows, vec![identity; self.rows * rhs.rows]);
         for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let dot: f64 = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
-                out.data[i * rhs.rows + j] = dot;
+            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
+            for k in 0..self.cols {
+                let a = self.data[i * self.cols + k];
+                let bt_row = &rhs_t.data[k * rhs.rows..(k + 1) * rhs.rows];
+                for (o, &b) in out_row.iter_mut().zip(bt_row) {
+                    *o += a * b;
+                }
             }
         }
         out
@@ -214,7 +227,7 @@ impl Matrix {
     /// Materialized transpose.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
     }
 
     /// Adds a row vector to every row (bias broadcast).
@@ -313,9 +326,69 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn m(rows: usize, cols: usize, data: &[f64]) -> Matrix {
         Matrix::from_vec(rows, cols, data.to_vec())
+    }
+
+    /// The original `matmul_transpose`: one `Iterator::sum` dot
+    /// product per output. The oracle the i-k-j kernel must match
+    /// bit for bit.
+    fn matmul_transpose_reference(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+        assert_eq!(lhs.cols, rhs.cols, "matmul_transpose shape mismatch");
+        let mut out = Matrix::zeros(lhs.rows, rhs.rows);
+        for i in 0..lhs.rows {
+            let a_row = &lhs.data[i * lhs.cols..(i + 1) * lhs.cols];
+            for j in 0..rhs.rows {
+                let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
+                let dot: f64 = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
+                out.data[i * rhs.rows + j] = dot;
+            }
+        }
+        out
+    }
+
+    /// A random matrix with a seed-chosen share of exact `±0.0`
+    /// entries (ReLU-zeroed gradients, zero-padded inputs) and,
+    /// optionally, whole zero rows.
+    fn sparse_random(rows: usize, cols: usize, zero_pct: u64, seed: u64) -> Matrix {
+        let mut rng = SeedSequence::new(seed).rng();
+        let zero_row = rows > 1 && rng.gen_range(0..4) == 0;
+        Matrix::from_fn(rows, cols, |r, _| {
+            let roll: u64 = rng.gen_range(0..100);
+            if (zero_row && r == 0) || roll < zero_pct {
+                if roll % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else {
+                rng.gen_range(-2.0..2.0)
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The vectorizable kernel is `to_bits`-identical to the
+        /// dot-product original, signed zeros included.
+        #[test]
+        fn matmul_transpose_matches_reference_bits(
+            rows in 0usize..9, cols in 0usize..17, other in 0usize..9,
+            zero_pct in 0u64..101, seed in 0u64..1_000_000,
+        ) {
+            let a = sparse_random(rows, cols, zero_pct, seed);
+            let b = sparse_random(other, cols, zero_pct, seed ^ 0x5eed);
+            let fast = a.matmul_transpose(&b);
+            let slow = matmul_transpose_reference(&a, &b);
+            prop_assert_eq!(fast.shape(), slow.shape());
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
     }
 
     #[test]

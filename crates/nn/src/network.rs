@@ -127,13 +127,13 @@ impl Network {
         self.layers.iter().map(Layer::flops_per_sample).sum()
     }
 
-    /// Raw logits for a batch.
+    /// Raw logits for a batch. The one copy of `x` becomes the first
+    /// layer's cached input; each later layer keeps the activation it
+    /// is handed.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
+        self.layers
+            .iter_mut()
+            .fold(x.clone(), |h, layer| layer.forward(h))
     }
 
     /// Class probabilities (softmax of the logits).
@@ -151,8 +151,12 @@ impl Network {
         let probs = softmax(&self.forward(x));
         let loss = cross_entropy(&probs, labels);
         let mut grad = cross_entropy_grad(&probs, labels);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            // ∂L/∂x of the first layer is never read: skip computing it.
+            first.backward_params(&grad);
         }
         for layer in &mut self.layers {
             layer.step(lr);

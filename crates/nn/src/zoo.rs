@@ -21,6 +21,8 @@
 //!   indices — statistically identical to running inference on each
 //!   arriving sample, at table-lookup cost.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use cne_simdata::dataset::{Dataset, GaussianMixtureTask, TaskKind};
 use cne_util::units::{EnergyPerSample, Megabytes, Millis};
 use cne_util::SeedSequence;
@@ -278,8 +280,21 @@ impl ModelZoo {
     ///
     /// This actually runs SGD for each architecture on freshly generated
     /// task data, then evaluates every model on the shared test pool.
+    /// The members train concurrently on up to
+    /// `min(available_parallelism, 6)` threads, longest first by FLOPs;
+    /// each model's arithmetic depends only on its own seed, so the zoo
+    /// is bit-identical to a serial build whichever thread trains what.
     #[must_use]
     pub fn train(kind: TaskKind, config: &ZooConfig, seed: &SeedSequence) -> Self {
+        Self::train_with_workers(kind, config, seed, available_workers())
+    }
+
+    fn train_with_workers(
+        kind: TaskKind,
+        config: &ZooConfig,
+        seed: &SeedSequence,
+        workers: usize,
+    ) -> Self {
         let task = GaussianMixtureTask::new(kind, seed.derive("task"));
         let train_data = task.generate(config.train_samples, &seed.derive("train-data"));
         let pool = task.generate(config.pool_samples, &seed.derive("test-pool"));
@@ -304,40 +319,37 @@ impl ModelZoo {
             }
         };
 
-        let models = specs
-            .iter()
-            .enumerate()
-            .map(|(idx, spec)| {
-                let model_seed = seed.derive("model").derive_index(idx as u64);
-                let mut network = (spec.build)(
-                    task.spec().dim,
-                    task.spec().classes,
-                    model_seed.derive("init"),
-                );
-                train(
-                    &mut network,
-                    &train_data,
-                    config.train,
-                    model_seed.derive("sgd"),
-                );
-                let eval = evaluate(&mut network, &pool_x, &pool_y);
-                let f = network.flops_per_sample() as f64;
-                let profile = ModelProfile {
-                    name: spec.name.to_owned(),
-                    family: spec.family,
-                    size: Megabytes::new(spec.nominal_size_mb),
-                    base_latency: Millis::new(lerp(LATENCY_BAND, f)),
-                    energy_per_sample: EnergyPerSample::new(lerp(ENERGY_BAND, f)),
-                    param_count: network.param_count(),
-                    flops: network.flops_per_sample(),
-                };
-                TrainedModel {
-                    profile,
-                    eval,
-                    network,
-                }
-            })
-            .collect();
+        let models = run_pool(&flops, workers, |idx| {
+            let spec = &specs[idx];
+            let model_seed = seed.derive("model").derive_index(idx as u64);
+            let mut network = (spec.build)(
+                task.spec().dim,
+                task.spec().classes,
+                model_seed.derive("init"),
+            );
+            train(
+                &mut network,
+                &train_data,
+                config.train,
+                model_seed.derive("sgd"),
+            );
+            let eval = evaluate(&mut network, &pool_x, &pool_y);
+            let f = network.flops_per_sample() as f64;
+            let profile = ModelProfile {
+                name: spec.name.to_owned(),
+                family: spec.family,
+                size: Megabytes::new(spec.nominal_size_mb),
+                base_latency: Millis::new(lerp(LATENCY_BAND, f)),
+                energy_per_sample: EnergyPerSample::new(lerp(ENERGY_BAND, f)),
+                param_count: network.param_count(),
+                flops: network.flops_per_sample(),
+            };
+            TrainedModel {
+                profile,
+                eval,
+                network,
+            }
+        });
         Self { kind, models, pool }
     }
 
@@ -389,12 +401,16 @@ impl ModelZoo {
     /// assumed. Deployment profiles shrink accordingly: size scales
     /// with `bits/32` (the full-precision deployment is float32) and
     /// compute energy/latency by a literature-typical integer-kernel
-    /// factor.
+    /// factor. Variants are built concurrently, like [`ModelZoo::train`].
     ///
     /// # Panics
     /// Panics if `bits < 2`.
     #[must_use]
     pub fn with_quantized_variants(&self, bits: u32) -> ModelZoo {
+        self.quantized_with_workers(bits, available_workers())
+    }
+
+    fn quantized_with_workers(&self, bits: u32, workers: usize) -> ModelZoo {
         let (pool_x, pool_y) = to_matrix(&self.pool);
         let compute_factor = if bits <= 8 {
             crate::quantize::INT8_COMPUTE_FACTOR
@@ -404,8 +420,9 @@ impl ModelZoo {
             1.0
         };
         let size_factor = f64::from(bits) / 32.0;
-        let mut models = self.models.clone();
-        for base in &self.models {
+        let flops: Vec<usize> = self.models.iter().map(|m| m.profile.flops).collect();
+        let variants = run_pool(&flops, workers, |idx| {
+            let base = &self.models[idx];
             let mut network = base.network.quantized(bits);
             let eval = evaluate(&mut network, &pool_x, &pool_y);
             let profile = ModelProfile {
@@ -419,12 +436,14 @@ impl ModelZoo {
                 param_count: base.profile.param_count,
                 flops: base.profile.flops,
             };
-            models.push(TrainedModel {
+            TrainedModel {
                 profile,
                 eval,
                 network,
-            });
-        }
+            }
+        });
+        let mut models = self.models.clone();
+        models.extend(variants);
         ModelZoo {
             kind: self.kind,
             models,
@@ -445,6 +464,61 @@ impl ModelZoo {
         }
         best
     }
+}
+
+/// Worker count for zoo builds: one per core, at most one per model.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `job(i)` for every `i in 0..costs.len()` on up to `workers`
+/// threads (the caller and scoped helpers) and returns the results in
+/// index order.
+///
+/// Workers pull indices from a shared queue sorted by descending
+/// `cost` (ties in index order), so the longest jobs start first and
+/// the pool finishes close to the longest single job. Each result
+/// lands in its own index slot, so the output does not depend on which
+/// thread ran which job. A panic in any job propagates to the caller.
+fn run_pool<T, F>(costs: &[usize], workers: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(costs.len()).max(1);
+    let mut queue: Vec<usize> = (0..costs.len()).collect();
+    queue.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    // A ticket counter into `queue`; results travel back through
+    // `join`, which orders them, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut mine = Vec::new();
+        while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+            mine.push((i, job(i)));
+        }
+        mine
+    };
+    let done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        // The calling thread is one of the workers.
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(costs.len()).collect();
+    for (i, result) in done {
+        slots[i] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every queued job ran exactly once"))
+        .collect()
 }
 
 /// Evaluates a network over the pool in batches, producing the table.
@@ -618,5 +692,63 @@ mod tests {
             mean_acc(&q2, 6) < mean_acc(&q8, 6),
             "2-bit variants should be worse than 8-bit"
         );
+    }
+
+    fn logits_bits(zoo: &ModelZoo) -> Vec<Vec<u64>> {
+        let (pool_x, _) = to_matrix(zoo.pool());
+        zoo.models()
+            .iter()
+            .map(|m| {
+                let logits = m.network.clone().forward(&pool_x);
+                logits.as_slice().iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    fn assert_same_zoo(a: &ModelZoo, b: &ModelZoo) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.models().iter().zip(b.models()) {
+            assert_eq!(x.profile, y.profile);
+            assert_eq!(x.eval, y.eval, "{}", x.profile.name);
+        }
+        assert_eq!(logits_bits(a), logits_bits(b));
+    }
+
+    #[test]
+    fn pool_training_equals_one_worker_training() {
+        let seed = SeedSequence::new(10);
+        for kind in [TaskKind::MnistLike, TaskKind::CifarLike] {
+            let serial = ModelZoo::train_with_workers(kind, &ZooConfig::fast(), &seed, 1);
+            // More workers than this machine may have cores: the pool
+            // path runs (and must agree) even on a single core.
+            for workers in [2, 3, 6] {
+                let pooled = ModelZoo::train_with_workers(kind, &ZooConfig::fast(), &seed, workers);
+                assert_same_zoo(&serial, &pooled);
+                assert_same_zoo(
+                    &serial.quantized_with_workers(8, 1),
+                    &pooled.quantized_with_workers(8, workers),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_pool_fills_every_slot_in_index_order() {
+        let costs = [3, 9, 1, 9, 0, 4, 7];
+        for workers in [0, 1, 2, 7, 16] {
+            let out = run_pool(&costs, workers, |i| (i, costs[i] * 10));
+            let want: Vec<(usize, usize)> = (0..costs.len()).map(|i| (i, costs[i] * 10)).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+        assert!(run_pool(&[], 4, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 failed")]
+    fn run_pool_propagates_worker_panics() {
+        let _ = run_pool(&[1, 1, 1, 1], 3, |i| {
+            assert!(i != 2, "job {i} failed");
+            i
+        });
     }
 }

@@ -317,9 +317,11 @@ impl Recorder {
         }
     }
 
-    /// Adds `by` to the named counter (creating it at zero).
+    /// Adds `by` to the named counter (creating it at zero). Counters
+    /// saturate at `u64::MAX` rather than wrap, so they stay monotone.
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        let counter = self.counters.entry(name.to_owned()).or_insert(0);
+        *counter = counter.saturating_add(by);
     }
 
     /// Sets the named gauge to its latest value.
