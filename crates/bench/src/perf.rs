@@ -206,11 +206,11 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Microseconds per slot for one fixed-placement run, plus the run's
-/// record (for the equivalence check). The run is *unprofiled* — a
-/// single stopwatch span wraps the whole loop — because the per-edge
-/// `inference`/`accounting` spans of [`Environment::run_profiled`]
-/// cost as much as the batched serve path itself and would mask the
-/// speedup being measured.
+/// record (for the equivalence check). One stopwatch span wraps an
+/// unprofiled [`Environment::run`]: the entry times the whole slot
+/// loop, and the stage spans of [`Environment::run_profiled`] (one per
+/// stage per slot, none per edge) would only split that time, not
+/// measure anything the speedup depends on.
 fn timed_serve_run(env: &Environment<'_>, model: usize) -> (f64, cne_edgesim::RunRecord) {
     let mut policy = FixedPlacement {
         model,

@@ -609,10 +609,12 @@ impl Wal {
 ///
 /// # Errors
 /// Returns a message when the record sequence is inconsistent — slots
-/// out of order, arrivals for an edge outside the fleet, or a
-/// checkpoint marker beyond the replayed state (records the marker's
-/// checkpoint superseded were garbage-collected, so this WAL cannot be
-/// replayed onto an *older* checkpoint).
+/// out of order, arrivals for an edge outside the fleet, counts whose
+/// per-edge or per-slot sum overflows a `u64` (the daemon rejects such
+/// lines before logging them), or a checkpoint marker beyond the
+/// replayed state (records the marker's checkpoint superseded were
+/// garbage-collected, so this WAL cannot be replayed onto an *older*
+/// checkpoint).
 pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Result<WalTail, String> {
     let mut tail = WalTail {
         start_slot,
@@ -621,6 +623,9 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
         open_lines: 0,
     };
     let mut cursor = start_slot;
+    // Σ of the open slot's counts, kept representable like the live
+    // accumulator's.
+    let mut open_total: u64 = 0;
     for record in records {
         match record {
             WalRecord::Arrivals { slot, pairs } => {
@@ -640,7 +645,15 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
                         .ok_or_else(|| {
                             format!("WAL arrival for edge {edge}, but the fleet has {num_edges}")
                         })?;
-                    *lane = lane.saturating_add(*count);
+                    let overflow = || {
+                        format!(
+                            "WAL arrivals for slot {slot} overflow the request count \
+                             (edge {edge}, +{count}): this log was not written by a \
+                             conforming daemon, which rejects such lines before logging"
+                        )
+                    };
+                    *lane = lane.checked_add(*count).ok_or_else(overflow)?;
+                    open_total = open_total.checked_add(*count).ok_or_else(overflow)?;
                 }
                 tail.open_lines += pairs.len() as u64;
             }
@@ -657,6 +670,7 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
                 tail.closed
                     .push(std::mem::replace(&mut tail.open, vec![0; num_edges]));
                 tail.open_lines = 0;
+                open_total = 0;
                 cursor += 1;
             }
             WalRecord::CheckpointInstalled { slot } => {
@@ -915,6 +929,37 @@ mod tests {
             pairs: vec![(7, 1)],
         }];
         assert!(replay(&bad, 2, 0).unwrap_err().contains("edge 7"));
+    }
+
+    /// Counts whose sum overflows a `u64` — on one edge or across the
+    /// slot — are an error naming the slot, never folded saturated; a
+    /// slot that sums to exactly `u64::MAX` still replays.
+    #[test]
+    fn replay_rejects_count_overflow() {
+        let arrivals = |slot, pairs| WalRecord::Arrivals { slot, pairs };
+        for second in [(0, 2), (1, 2)] {
+            let bad = vec![
+                arrivals(0, vec![(0, 1)]),
+                WalRecord::SlotClose { slot: 0 },
+                arrivals(1, vec![(0, u64::MAX)]),
+                arrivals(1, vec![second]),
+            ];
+            let err = replay(&bad, 2, 0).unwrap_err();
+            assert!(err.contains("slot 1"), "{err}");
+            assert!(err.contains("not written by a conforming daemon"), "{err}");
+        }
+
+        let records = vec![
+            arrivals(0, vec![(0, u64::MAX - 2), (1, 2)]),
+            WalRecord::SlotClose { slot: 0 },
+            arrivals(1, vec![(0, u64::MAX)]),
+            WalRecord::SlotClose { slot: 1 },
+            arrivals(2, vec![(1, 2), (1, 3)]),
+        ];
+        let tail = replay(&records, 2, 0).expect("in-range counts replay");
+        assert_eq!(tail.closed, vec![vec![u64::MAX - 2, 2], vec![u64::MAX, 0]]);
+        assert_eq!(tail.open, vec![0, 5]);
+        assert_eq!(tail.open_lines, 2);
     }
 
     /// A group-committed record (one `Arrivals` frame carrying a whole

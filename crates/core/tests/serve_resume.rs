@@ -11,6 +11,7 @@ use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
 use cne_simdata::workload::DiurnalWorkload;
+use cne_util::span::parse_profile_jsonl;
 use cne_util::SeedSequence;
 
 const SEED: u64 = 11;
@@ -328,4 +329,55 @@ fn baselines_without_checkpoint_support_fail_loudly() {
     // The session itself keeps serving — only checkpointing is
     // refused for RNG-opaque baselines.
     session.push_slot(&slot_row(&arrivals, 1));
+}
+
+/// The stage profiler counts work per slot, never per edge: a session
+/// records exactly `slot` and its four stage children, each once per
+/// slot, whatever the fleet size or edge-worker count. A span opened
+/// inside a per-edge loop would change this tree at 512 edges.
+#[test]
+fn stage_profile_is_one_span_per_stage_at_any_fleet_size() {
+    let (zoo, mut cfg) = setup();
+    const SLOTS: usize = 6;
+    let expected: Vec<(String, u64)> = [
+        "slot",
+        "slot/select",
+        "slot/trade",
+        "slot/serve",
+        "slot/feedback",
+    ]
+    .iter()
+    .map(|&path| (path.to_owned(), SLOTS as u64))
+    .collect();
+    for num_edges in [8, 512] {
+        cfg.num_edges = num_edges;
+        let arrivals = raw_arrivals(&cfg, SEED);
+        for edge_threads in [1, 2] {
+            let mut session = ServeSession::new(
+                cfg.clone(),
+                &zoo,
+                SEED,
+                Combo::ours(),
+                &ServeOptions {
+                    edge_threads,
+                    stage_profiler: true,
+                    ..ServeOptions::default()
+                },
+            );
+            for t in 0..SLOTS {
+                session.push_slot(&slot_row(&arrivals, t));
+            }
+            let profiler = session.profiler().expect("stage profiler on");
+            let runs = parse_profile_jsonl(&profiler.to_jsonl_string()).expect("profile parses");
+            let tree: Vec<(String, u64)> = runs
+                .into_iter()
+                .flat_map(|run| run.spans)
+                .map(|span| (span.path, span.count))
+                .collect();
+            assert_eq!(
+                tree, expected,
+                "{num_edges} edges, {edge_threads} edge threads"
+            );
+        }
+    }
 }

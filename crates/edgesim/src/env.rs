@@ -883,9 +883,9 @@ impl<'a> Environment<'a> {
     }
 
     /// Runs a policy while profiling wall-clock time into a span tree
-    /// (run → slot → select / trade / serve / feedback, with
-    /// `inference` and `accounting` children under `serve`), optionally
-    /// recording deterministic telemetry at the same time.
+    /// (run → slot → select / trade / serve / feedback, one span per
+    /// stage and none below), optionally recording deterministic
+    /// telemetry at the same time.
     ///
     /// Profiling only observes the run: the returned [`RunRecord`] and
     /// any telemetry written are bit-identical to the unprofiled run.
@@ -924,10 +924,12 @@ impl<'a> Environment<'a> {
     /// sharded.
     ///
     /// When a profiler is supplied on a parallel run, only the coarse
-    /// `run` and `slot` spans are recorded (per-edge spans would need
-    /// cross-thread clocks); the sequential path keeps the full span
-    /// tree. With a batch window the first slot span of each window
-    /// carries the window's serve wait; the rest time only their drain.
+    /// `run` and `slot` spans are recorded (selection and serving run
+    /// on the workers and overlap trading, so the stages share no
+    /// driver timeline); the sequential path also records the four
+    /// stage spans. With a batch window the first slot span of each
+    /// window carries the window's serve wait; the rest time only
+    /// their drain.
     ///
     /// Parallel runs batch [`DEFAULT_GATE_BATCH`] slots per epoch-gate
     /// round trip; use [`Environment::run_with_batch`] to pick the
@@ -1532,7 +1534,6 @@ impl<'a> Environment<'a> {
                     lane,
                     &placements,
                     &mut sink,
-                    None,
                     &mut slot_mail.outcomes,
                     &mut slot_mail.partials,
                 );
@@ -1622,7 +1623,6 @@ impl<'a> Environment<'a> {
         lanes: &mut EdgeLanes,
         placements: &[usize],
         sink: &mut TeleSink,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
         outcomes: &mut Vec<EdgeSlotOutcome>,
         partials: &mut Vec<EdgePartial>,
     ) {
@@ -1630,30 +1630,15 @@ impl<'a> Environment<'a> {
         match self.faults.as_ref() {
             None => {
                 for (k, &placement) in placements.iter().enumerate() {
-                    let (outcome, partial) = self.serve_edge(
-                        t,
-                        lanes,
-                        k,
-                        placement,
-                        None,
-                        sink,
-                        profiler.as_deref_mut(),
-                    );
+                    let (outcome, partial) = self.serve_edge(t, lanes, k, placement, None, sink);
                     outcomes.push(outcome);
                     partials.push(partial);
                 }
             }
             Some(schedule) => {
                 for (k, &placement) in placements.iter().enumerate() {
-                    let (outcome, partial) = self.serve_edge(
-                        t,
-                        lanes,
-                        k,
-                        placement,
-                        Some(schedule),
-                        sink,
-                        profiler.as_deref_mut(),
-                    );
+                    let (outcome, partial) =
+                        self.serve_edge(t, lanes, k, placement, Some(schedule), sink);
                     outcomes.push(outcome);
                     partials.push(partial);
                 }
@@ -1676,7 +1661,6 @@ impl<'a> Environment<'a> {
         desired: usize,
         schedule: Option<&FaultSchedule>,
         sink: &mut TeleSink,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
     ) -> (EdgeSlotOutcome, EdgePartial) {
         let cfg = &self.config;
         let i = lanes.global_index(k);
@@ -1745,9 +1729,6 @@ impl<'a> Environment<'a> {
         }
         lanes.count_selection(k, n);
 
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("inference");
-        }
         let arrivals = self.workloads[i].arrivals(t);
         let effective = self.effective_table(n, t);
         let (empirical_loss, accuracy) = match self.serve_mode {
@@ -1769,10 +1750,6 @@ impl<'a> Environment<'a> {
         let utilization = cfg.queueing.utilization(requests, self.latencies[i][n]);
         let queueing_delay_ms = cfg.queueing.mean_wait_ms(requests, self.latencies[i][n]);
         lanes.observe_utilization(k, (utilization * 1e6) as u64);
-        if let Some(p) = profiler.as_deref_mut() {
-            p.exit(); // inference
-            p.enter("accounting");
-        }
 
         let profile = &self.zoo.model(n).profile;
         let emissions = cfg.emission.slot_emissions(
@@ -1782,9 +1759,6 @@ impl<'a> Environment<'a> {
             self.topology.transfer_energy(i),
             profile.size,
         );
-        if let Some(p) = profiler {
-            p.exit(); // accounting
-        }
 
         let partial = EdgePartial {
             loss_cost: self.expected_losses[effective] * cfg.weights.loss,
@@ -2043,14 +2017,9 @@ impl RunStepper {
             p.enter("slot");
         }
         // Step 1: model selection and (possible) download.
-        match profiler.as_deref_mut() {
-            Some(p) => {
-                p.enter("select");
-                policy.select_models_into_profiled(t, p, &mut self.placements);
-                p.exit();
-            }
-            None => policy.select_models_into(t, &mut self.placements),
-        };
+        stage(&mut profiler, "select", || {
+            policy.select_models_into(t, &mut self.placements);
+        });
         assert_eq!(
             self.placements.len(),
             cfg.num_edges,
@@ -2062,15 +2031,7 @@ impl RunStepper {
 
         // Carbon trading (Algorithm 2 decides using history only).
         let ctx = env.trade_context(t, self.cap_share);
-        let (z, w) = match profiler.as_deref_mut() {
-            Some(p) => {
-                p.enter("trade");
-                let zw = policy.decide_trades_profiled(t, &ctx, p);
-                p.exit();
-                zw
-            }
-            None => policy.decide_trades(t, &ctx),
-        };
+        let (z, w) = stage(&mut profiler, "trade", || policy.decide_trades(t, &ctx));
         let receipt = env.execute_trade(
             t,
             &ctx,
@@ -2082,29 +2043,24 @@ impl RunStepper {
         );
 
         // Steps 2–3: serve the streams and account energy/carbon.
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("serve");
-        }
-        if self.lanes.len() == 1 {
-            let mut sink = match telemetry.as_deref_mut() {
-                Some(rec) => TeleSink::Direct(rec),
-                None => TeleSink::Silent,
-            };
-            env.serve_chunk(
-                t,
-                &mut self.lanes[0],
-                &self.placements,
-                &mut sink,
-                profiler.as_deref_mut(),
-                &mut self.outcomes,
-                &mut self.partials,
-            );
-        } else {
-            self.serve_sharded(env, t, telemetry);
-        }
-        if let Some(p) = profiler.as_deref_mut() {
-            p.exit(); // serve
-        }
+        stage(&mut profiler, "serve", || {
+            if self.lanes.len() == 1 {
+                let mut sink = match telemetry {
+                    Some(rec) => TeleSink::Direct(rec),
+                    None => TeleSink::Silent,
+                };
+                env.serve_chunk(
+                    t,
+                    &mut self.lanes[0],
+                    &self.placements,
+                    &mut sink,
+                    &mut self.outcomes,
+                    &mut self.partials,
+                );
+            } else {
+                self.serve_sharded(env, t, telemetry);
+            }
+        });
 
         let (record, observation) = env.reduce_slot(
             t,
@@ -2119,14 +2075,11 @@ impl RunStepper {
             edges: std::mem::take(&mut self.outcomes),
             trade: observation,
         };
-        match profiler {
-            Some(p) => {
-                p.enter("feedback");
-                policy.end_of_slot_profiled(t, &feedback, p);
-                p.exit();
-                p.exit(); // slot
-            }
-            None => policy.end_of_slot(t, &feedback),
+        stage(&mut profiler, "feedback", || {
+            policy.end_of_slot(t, &feedback)
+        });
+        if let Some(p) = profiler {
+            p.exit(); // slot
         }
         self.slots.push(record);
         // Reclaim the outcome buffer from the feedback for the next
@@ -2178,7 +2131,6 @@ impl RunStepper {
                         lane,
                         chunk,
                         &mut sink,
-                        None,
                         &mut scratch.outcomes,
                         &mut scratch.partials,
                     );
@@ -2196,7 +2148,6 @@ impl RunStepper {
                 first_lane,
                 chunk,
                 &mut sink,
-                None,
                 &mut scratch.outcomes,
                 &mut scratch.partials,
             );
@@ -2406,6 +2357,25 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Runs one slot stage inside a span named `name` when profiling.
+/// Stages are the profile's leaves: nothing inside them opens a span,
+/// so the per-slot profiling cost does not grow with the edge count.
+fn stage<R>(
+    profiler: &mut Option<&mut cne_util::span::Profiler>,
+    name: &str,
+    f: impl FnOnce() -> R,
+) -> R {
+    match profiler.as_deref_mut() {
+        Some(p) => {
+            p.enter(name);
+            let out = f();
+            p.exit();
+            out
+        }
+        None => f(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2499,13 +2469,30 @@ mod tests {
             "profiling must not perturb the deterministic trace"
         );
         assert_eq!(prof.open_depth(), 0);
-        assert_eq!(prof.count("run"), 1);
-        assert_eq!(prof.count("run/slot"), 40);
-        assert_eq!(prof.count("run/slot/select"), 40);
-        assert_eq!(prof.count("run/slot/trade"), 40);
-        assert_eq!(prof.count("run/slot/serve/inference"), 40 * 3);
-        assert_eq!(prof.count("run/slot/serve/accounting"), 40 * 3);
-        assert_eq!(prof.count("run/slot/feedback"), 40);
+        // One span per stage and nothing below it, so profiling costs
+        // the same per slot at any edge count.
+        assert_eq!(
+            span_tree(&prof),
+            [
+                ("run", 1),
+                ("run/slot", 40),
+                ("run/slot/select", 40),
+                ("run/slot/trade", 40),
+                ("run/slot/serve", 40),
+                ("run/slot/feedback", 40),
+            ]
+            .map(|(path, count)| (path.to_owned(), count))
+        );
+    }
+
+    /// Every recorded span as `(path, count)`, depth-first.
+    pub(super) fn span_tree(prof: &cne_util::span::Profiler) -> Vec<(String, u64)> {
+        let runs = cne_util::span::parse_profile_jsonl(&prof.to_jsonl_string())
+            .expect("a profiler writes a parseable stream");
+        runs.into_iter()
+            .flat_map(|run| run.spans)
+            .map(|span| (span.path, span.count))
+            .collect()
     }
 
     #[test]
@@ -2962,9 +2949,10 @@ mod parallel_tests {
         // only): per-stage spans would have to come off the worker
         // threads, where they could not nest into one driver timeline.
         assert_eq!(prof.open_depth(), 0);
-        assert_eq!(prof.count("run"), 1);
-        assert_eq!(prof.count("run/slot"), 40);
-        assert_eq!(prof.count("run/slot/serve/inference"), 0);
+        assert_eq!(
+            super::tests::span_tree(&prof),
+            [("run".to_owned(), 1), ("run/slot".to_owned(), 40)]
+        );
     }
 
     /// Per-edge cumulative-loss state a shard can carry away.

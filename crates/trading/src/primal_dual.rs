@@ -206,18 +206,6 @@ impl TradingPolicy for PrimalDual {
         self.primal_step(ctx)
     }
 
-    fn decide_profiled(
-        &mut self,
-        _t: usize,
-        ctx: &TradeContext,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> (Allowances, Allowances) {
-        profiler.enter("primal_step");
-        let zw = self.primal_step(ctx);
-        profiler.exit();
-        zw
-    }
-
     fn observe(&mut self, t: usize, obs: &TradeObservation) {
         // Dual ascent on the realized constraint value (eq. (5)).
         let g = obs.constraint_value();
