@@ -712,20 +712,26 @@ fn bench_wal(
     const SEED: u64 = 7;
     let edges = config.num_edges;
     let horizon = config.horizon;
-    // The daemon's record stream: one arrivals frame per non-empty
-    // request line, one close per slot.
+    // The daemon's record stream when each slot's request lines (one
+    // per non-empty edge) arrive in one block: a tally, then a close.
     let records: Vec<WalRecord> = arrivals
         .iter()
         .enumerate()
         .flat_map(|(t, row)| {
-            row.iter()
+            let pairs: Vec<(u64, u64)> = row
+                .iter()
                 .enumerate()
                 .filter(|(_, &c)| c > 0)
-                .map(move |(e, &c)| WalRecord::Arrivals {
+                .map(|(e, &c)| (e as u64, c))
+                .collect();
+            [
+                WalRecord::Tally {
                     slot: t as u64,
-                    pairs: vec![(e as u64, c)],
-                })
-                .chain(std::iter::once(WalRecord::SlotClose { slot: t as u64 }))
+                    lines: pairs.len() as u64,
+                    pairs,
+                },
+                WalRecord::SlotClose { slot: t as u64 },
+            ]
         })
         .collect();
     let dir = std::env::temp_dir().join(format!("cne-bench-wal-{}", std::process::id()));

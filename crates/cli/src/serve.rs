@@ -145,6 +145,16 @@ fn parse_line(line: &str, num_edges: usize) -> Result<WireLine, String> {
 /// stream at any realistic rate.
 const READ_CHUNK: usize = 256 * 1024;
 
+/// Line blocks the transport reader may queue ahead of the serve loop.
+/// Once they are queued the reader blocks, and a client that writes
+/// faster than the daemon serves meets socket backpressure instead of
+/// growing the daemon's memory: the queue holds at most this many
+/// blocks, each at most one [`READ_CHUNK`] plus one carried
+/// `--max-line-bytes` partial line. Eight
+/// blocks are about 20 ms of decode at ten million lines per second,
+/// so the serve loop does not wait on the reader while input flows.
+const READ_AHEAD_BLOCKS: usize = 8;
+
 /// Longest `bad_line` snippet shipped in events, in bytes.
 const SNIPPET_MAX: usize = 64;
 
@@ -226,7 +236,8 @@ struct BadLine<'a> {
 }
 
 /// The open slot's arrival accumulator: per-edge counts, their total,
-/// and the number of request lines folded in (for `--slot-requests`).
+/// and the number of request lines folded in (for `--slot-requests`),
+/// plus the watermark of what the WAL already holds of them.
 struct OpenSlot {
     counts: Vec<u64>,
     /// `Σ counts`, kept representable: a line that would overflow it is
@@ -234,6 +245,10 @@ struct OpenSlot {
     /// every per-slot request total downstream fits in a `u64`.
     total: u64,
     lines: usize,
+    /// Per-edge counts as of the last WAL flush (see [`flush_arrivals`]).
+    logged: Vec<u64>,
+    /// `lines` as of the last WAL flush.
+    logged_lines: usize,
 }
 
 impl OpenSlot {
@@ -242,14 +257,19 @@ impl OpenSlot {
             counts: vec![0; num_edges],
             total: 0,
             lines: 0,
+            logged: vec![0; num_edges],
+            logged_lines: 0,
         }
     }
 
-    /// Pre-seeds the slot with the arrivals a WAL tail acknowledged.
+    /// Pre-seeds the slot with the arrivals a WAL tail acknowledged;
+    /// the log already holds them, so they are the watermark too.
     fn seed(&mut self, counts: Vec<u64>, lines: usize) {
         self.total = counts.iter().fold(0, |sum: u64, &c| sum.saturating_add(c));
+        self.logged.clone_from(&counts);
         self.counts = counts;
         self.lines = lines;
+        self.logged_lines = lines;
     }
 
     /// Folds in one request line [`classify_line`] accepted.
@@ -259,10 +279,33 @@ impl OpenSlot {
         self.lines += 1;
     }
 
+    /// The arrivals folded in since the last flush, as `(lines, pairs)`
+    /// with one `(edge, increment)` pair per edge whose count moved,
+    /// in ascending edge order; advances the watermark past them.
+    fn take_tally(&mut self) -> (u64, Vec<(u64, u64)>) {
+        let pairs = self
+            .counts
+            .iter()
+            .zip(&mut self.logged)
+            .enumerate()
+            .filter(|(_, (count, logged))| **count != **logged)
+            .map(|(edge, (&count, logged))| {
+                let moved = count - *logged;
+                *logged = count;
+                (edge as u64, moved)
+            })
+            .collect();
+        let lines = (self.lines - self.logged_lines) as u64;
+        self.logged_lines = self.lines;
+        (lines, pairs)
+    }
+
     fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
+        self.logged.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
         self.lines = 0;
+        self.logged_lines = 0;
     }
 }
 
@@ -339,29 +382,23 @@ fn reject_line(
     })
 }
 
-/// Flushes the group-commit buffer: every applied-but-unlogged arrival
-/// pair of the open slot goes out as one multi-pair WAL record. The
-/// write-ahead invariant holds at batch granularity — a flush always
-/// precedes the slot close, checkpoint, shutdown sync, or fatal exit
-/// that would otherwise leave the log behind the applied state — so
-/// recovery still replays a clean prefix of the stream, and a hard
-/// kill can lose at most the current block's tail.
-fn flush_arrivals(
-    pending: &mut Vec<(u64, u64)>,
-    slot: u64,
-    dur: &mut Durability,
-    ops: &mut DaemonOps,
-) {
-    if pending.is_empty() {
+/// Group-commits the open slot: every request line applied since the
+/// last flush goes out as one per-edge tally (one frame, unless it
+/// touches more than [`wal::MAX_TALLY_PAIRS`] edges), whenever the line
+/// count moved — a `count: 0` line is still a line. The write-ahead
+/// invariant holds at batch granularity — a flush always precedes the
+/// slot close, checkpoint, shutdown sync, or fatal exit that would
+/// otherwise leave the log behind the applied state — so recovery
+/// still replays a clean prefix of the stream, and a hard kill can
+/// lose at most the current block's tail.
+fn flush_arrivals(open: &mut OpenSlot, slot: u64, dur: &mut Durability, ops: &mut DaemonOps) {
+    if open.lines == open.logged_lines {
         return;
     }
-    dur.append(
-        &WalRecord::Arrivals {
-            slot,
-            pairs: std::mem::take(pending),
-        },
-        ops,
-    );
+    let (lines, pairs) = open.take_tally();
+    for record in WalRecord::tally_frames(slot, lines, &pairs) {
+        dur.append(&record, ops);
+    }
 }
 
 /// Drains one transport connection into the channel as line blocks.
@@ -372,7 +409,7 @@ fn flush_arrivals(
 /// `--max-line-bytes` partial line: a line that outgrows the cap
 /// before its newline arrives flips into discard-and-count mode
 /// ([`Oversize`]), exactly like the old bounded per-line reader.
-fn pump<R: std::io::Read>(source: R, tx: &mpsc::Sender<ReaderMsg>, max_line: usize) {
+fn pump<R: std::io::Read>(source: R, tx: &mpsc::SyncSender<ReaderMsg>, max_line: usize) {
     let mut reader = std::io::BufReader::with_capacity(READ_CHUNK, source);
     let retry = WallRetry::daemon_default();
     // Absolute stream offset of the next byte `fill_buf` returns.
@@ -495,7 +532,7 @@ fn pump<R: std::io::Read>(source: R, tx: &mpsc::Sender<ReaderMsg>, max_line: usi
 fn accept_with_retry<L, S>(
     listener: &L,
     accept: impl Fn(&L) -> std::io::Result<S>,
-    tx: &mpsc::Sender<ReaderMsg>,
+    tx: &mpsc::SyncSender<ReaderMsg>,
 ) -> Option<S> {
     let retry = WallRetry::daemon_default();
     match retry.run(
@@ -517,14 +554,21 @@ fn accept_with_retry<L, S>(
     }
 }
 
-/// Spawns the transport reader: a thread that feeds classified request
-/// lines into a channel, so the serve loop can poll deadlines and
-/// signals while the transport blocks. Dropping the sender signals EOF.
+/// The reader → serve-loop channel, bounded at [`READ_AHEAD_BLOCKS`].
+fn read_ahead_channel() -> (mpsc::SyncSender<ReaderMsg>, mpsc::Receiver<ReaderMsg>) {
+    mpsc::sync_channel(READ_AHEAD_BLOCKS)
+}
+
+/// Spawns the transport reader: a thread that feeds line blocks into a
+/// channel bounded at [`READ_AHEAD_BLOCKS`], so the serve loop can poll
+/// deadlines and signals while the transport blocks, and a fast client
+/// is held back by the transport rather than buffered. Dropping the
+/// sender signals EOF.
 fn spawn_reader(
     listen: Option<&str>,
     max_line: usize,
 ) -> Result<mpsc::Receiver<ReaderMsg>, String> {
-    let (tx, rx) = mpsc::channel();
+    let (tx, rx) = read_ahead_channel();
     match listen {
         None => {
             std::thread::spawn(move || pump(std::io::stdin(), &tx, max_line));
@@ -1166,7 +1210,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             if !tail.is_empty() {
                 println!(
                     "wal          : replayed {} closed slot(s) and {} open-slot \
-                     batch(es) from {dir}",
+                     request line(s) from {dir}",
                     tail.closed.len(),
                     tail.open_lines
                 );
@@ -1237,11 +1281,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         open.seed(recovered, lines as usize);
     }
     let mut bad_lines: u64 = 0;
-    // Group-commit buffer: arrival pairs applied to `open` but not yet
-    // WAL-appended. Flushed as one multi-pair record at every block
-    // boundary and before anything that closes, checkpoints, or ends
-    // the slot (see `flush_arrivals`).
-    let mut pending: Vec<(u64, u64)> = Vec::new();
     let use_fast = opts.wire_decode == wire::WireDecode::Fast;
     let mut deadline = opts
         .slot_ms
@@ -1250,7 +1289,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 
     while !session.is_done() {
         if signals::triggered() {
-            flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
+            flush_arrivals(&mut open, session.next_slot() as u64, &mut dur, &mut ops);
             if let Some(path) = &opts.checkpoint {
                 dur.write_checkpoint(&session, path, &mut ops)?;
             }
@@ -1270,8 +1309,9 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         if eof {
             // Input ended before the horizon: pad the remaining slots
             // with zero arrivals so the run still settles cleanly.
-            // (`pending` is empty here — every block was flushed when
-            // it finished processing, and EOF arrives between blocks.)
+            // (`open` is fully logged here — every block was flushed
+            // when it finished processing, and EOF arrives between
+            // blocks.)
             if open.lines == 0 {
                 open.clear();
             }
@@ -1340,7 +1380,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                 };
                 let slot = session.next_slot() as u64;
                 if let Some(error) = reject_line(&bad, slot, &mut bad_lines, opts, &mut ops) {
-                    flush_arrivals(&mut pending, slot, &mut dur, &mut ops);
+                    flush_arrivals(&mut open, slot, &mut dur, &mut ops);
                     return fail_serve(&session, opts, &mut ops, &mut dur, error);
                 }
                 continue;
@@ -1375,7 +1415,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                     };
                     let slot = session.next_slot() as u64;
                     if let Some(error) = reject_line(&bad, slot, &mut bad_lines, opts, &mut ops) {
-                        flush_arrivals(&mut pending, slot, &mut dur, &mut ops);
+                        flush_arrivals(&mut open, slot, &mut dur, &mut ops);
                         return fail_serve(&session, opts, &mut ops, &mut dur, error);
                     }
                     continue;
@@ -1383,20 +1423,14 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             };
             match parsed {
                 WireLine::Request { edge, count } => {
-                    // Write-ahead at batch granularity: the pair joins
-                    // the group-commit buffer now and is WAL-appended
-                    // (one multi-pair record) before the slot closes
-                    // or the block ends. `classify_line` has already
-                    // rejected a count that would overflow the slot.
-                    pending.push((edge as u64, count));
+                    // Write-ahead at batch granularity: the line is
+                    // WAL-appended, inside one per-edge tally, before
+                    // the slot closes or the block ends.
+                    // `classify_line` has already rejected a count
+                    // that would overflow the slot.
                     open.add(edge, count);
                     if opts.slot_requests.is_some_and(|n| open.lines >= n) {
-                        flush_arrivals(
-                            &mut pending,
-                            session.next_slot() as u64,
-                            &mut dur,
-                            &mut ops,
-                        );
+                        flush_arrivals(&mut open, session.next_slot() as u64, &mut dur, &mut ops);
                         close_slot(
                             &mut session,
                             &mut open,
@@ -1408,7 +1442,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                     }
                 }
                 WireLine::SlotEnd => {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
+                    flush_arrivals(&mut open, session.next_slot() as u64, &mut dur, &mut ops);
                     close_slot(
                         &mut session,
                         &mut open,
@@ -1430,7 +1464,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         }
         // End of block: group-commit whatever the block accumulated
         // for the still-open slot.
-        flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
+        flush_arrivals(&mut open, session.next_slot() as u64, &mut dur, &mut ops);
     }
     dur.shutdown_sync();
 
@@ -1754,20 +1788,114 @@ mod tests {
         }
     }
 
+    /// Everything `pump` ships for `stream`, drained concurrently
+    /// through the daemon's bounded channel.
+    fn pumped(stream: Vec<u8>, max_line: usize) -> Vec<ReaderMsg> {
+        let (tx, rx) = read_ahead_channel();
+        let reader = std::thread::spawn(move || {
+            pump(std::io::Cursor::new(stream), &tx, max_line);
+        });
+        let msgs = rx.iter().collect();
+        reader.join().expect("reader thread");
+        msgs
+    }
+
+    /// A source that counts the bytes the reader has pulled from it.
+    struct Counted {
+        data: std::io::Cursor<Vec<u8>>,
+        read: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl std::io::Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.data.read(buf)?;
+            self.read.fetch_add(n, std::sync::atomic::Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    /// While the serve loop does not drain, the reader stops pulling
+    /// from the transport once [`READ_AHEAD_BLOCKS`] blocks are queued
+    /// (plus the one it is blocked sending and its read buffer), and
+    /// the stream still arrives whole once draining resumes.
+    #[test]
+    fn reader_read_ahead_is_bounded() {
+        let line: &[u8] = b"{\"edge\":1,\"count\":2}\n";
+        let stream: Vec<u8> = line
+            .iter()
+            .copied()
+            .cycle()
+            .take(line.len() * (40 * READ_CHUNK / line.len()))
+            .collect();
+        let read = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let source = Counted {
+            data: std::io::Cursor::new(stream.clone()),
+            read: Arc::clone(&read),
+        };
+        let (tx, rx) = read_ahead_channel();
+        let reader = std::thread::spawn(move || pump(source, &tx, 4096));
+        // Wait until the reader stalls (its byte count stops moving).
+        let mut last = usize::MAX;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = read.load(std::sync::atomic::Ordering::SeqCst);
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        let bound = (READ_AHEAD_BLOCKS + 2) * READ_CHUNK;
+        assert!(
+            last <= bound,
+            "reader pulled {last} bytes ahead of an idle serve loop (bound {bound})"
+        );
+        let mut rebuilt = Vec::new();
+        for msg in rx.iter() {
+            match msg {
+                ReaderMsg::Block(b) => rebuilt.extend_from_slice(&b.data),
+                _ => panic!("clean stream must not produce Bad/Fatal"),
+            }
+        }
+        reader.join().expect("reader thread");
+        assert_eq!(rebuilt, stream);
+    }
+
+    /// The group-commit watermark: a flush takes only what moved since
+    /// the last one, in ascending edge order, counts `count: 0` lines,
+    /// and a WAL-seeded slot starts with its recovered arrivals logged.
+    #[test]
+    fn open_slot_tallies_what_moved_since_the_last_flush() {
+        let mut open = OpenSlot::new(4);
+        open.add(2, 3);
+        open.add(0, 1);
+        open.add(2, 4);
+        assert_eq!(open.take_tally(), (3, vec![(0, 1), (2, 7)]));
+        assert_eq!(open.take_tally(), (0, Vec::new()), "nothing moved");
+        open.add(3, 0);
+        assert_eq!(open.take_tally(), (1, Vec::new()), "a zero-count line");
+        open.add(2, 5);
+        assert_eq!(open.take_tally(), (1, vec![(2, 5)]));
+        assert_eq!((open.counts.clone(), open.lines), (vec![1, 0, 12, 0], 5));
+
+        open.clear();
+        open.add(1, 1);
+        assert_eq!(open.take_tally(), (1, vec![(1, 1)]));
+
+        let mut resumed = OpenSlot::new(3);
+        resumed.seed(vec![4, 0, 2], 3);
+        assert_eq!(resumed.take_tally(), (0, Vec::new()));
+        resumed.add(2, 1);
+        assert_eq!(resumed.take_tally(), (1, vec![(2, 1)]));
+        assert_eq!(resumed.counts, vec![4, 0, 3]);
+    }
+
     #[test]
     fn block_reader_ships_complete_lines() {
-        use std::io::Cursor;
         // Small stream, one read chunk: one block up to the last
         // newline, then the unterminated tail flushed at EOF as its
         // own block (a final line without `\n` still counts).
-        let (tx, rx) = mpsc::channel();
-        pump(
-            Cursor::new(b"short\nlonger line here\ntail".to_vec()),
-            &tx,
-            64,
-        );
-        drop(tx);
-        let msgs: Vec<ReaderMsg> = rx.iter().collect();
+        let msgs = pumped(b"short\nlonger line here\ntail".to_vec(), 64);
         assert_eq!(msgs.len(), 2);
         match &msgs[0] {
             ReaderMsg::Block(b) => {
@@ -1787,7 +1915,6 @@ mod tests {
 
     #[test]
     fn block_reader_spans_chunks_with_correct_offsets() {
-        use std::io::Cursor;
         // A stream larger than one read chunk: lines land in several
         // blocks, every block starts on a line boundary, offsets are
         // absolute, and reassembly is byte-identical.
@@ -1796,12 +1923,9 @@ mod tests {
         while stream.len() < READ_CHUNK + READ_CHUNK / 2 {
             stream.extend_from_slice(line);
         }
-        let (tx, rx) = mpsc::channel();
-        pump(Cursor::new(stream.clone()), &tx, 4096);
-        drop(tx);
         let mut rebuilt = Vec::new();
         let mut blocks = 0;
-        for msg in rx.iter() {
+        for msg in pumped(stream.clone(), 4096) {
             match msg {
                 ReaderMsg::Block(b) => {
                     assert_eq!(b.offset as usize, rebuilt.len(), "offsets are absolute");
@@ -1822,7 +1946,6 @@ mod tests {
 
     #[test]
     fn block_reader_discards_oversized_spanning_lines() {
-        use std::io::Cursor;
         // A line that outgrows the cap before its newline arrives is
         // discarded in counting mode: memory stays bounded, the true
         // length, stream offset, and a snippet are reported, and the
@@ -1832,10 +1955,7 @@ mod tests {
         stream.extend_from_slice(&vec![b'y'; huge]);
         stream.push(b'\n');
         stream.extend_from_slice(b"{\"edge\":1}\n");
-        let (tx, rx) = mpsc::channel();
-        pump(Cursor::new(stream), &tx, 64);
-        drop(tx);
-        let msgs: Vec<ReaderMsg> = rx.iter().collect();
+        let msgs = pumped(stream, 64);
         assert_eq!(msgs.len(), 3);
         assert!(matches!(
             &msgs[0],
@@ -1863,10 +1983,7 @@ mod tests {
         ));
 
         // Oversized with no newline before EOF: still classified.
-        let (tx, rx) = mpsc::channel();
-        pump(Cursor::new(vec![b'z'; READ_CHUNK + 500]), &tx, 64);
-        drop(tx);
-        let msgs: Vec<ReaderMsg> = rx.iter().collect();
+        let msgs = pumped(vec![b'z'; READ_CHUNK + 500], 64);
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
             ReaderMsg::Bad { reason, offset, .. } => {
@@ -1879,20 +1996,16 @@ mod tests {
 
     #[test]
     fn pump_ships_raw_bytes_for_consumer_classification() {
-        use std::io::Cursor;
         // Non-UTF-8 bytes and overlong lines that arrived whole inside
         // a chunk are the serve loop's to classify: the reader ships
         // them raw inside the block. Only the *memory* bound — a line
         // spanning chunks past the cap — is enforced reader-side.
-        let (tx, rx) = mpsc::channel();
         let mut stream = b"{\"edge\":0}\n".to_vec();
         stream.extend_from_slice(&[0xFF, 0xFE, 0x80, b'\n']); // non-UTF-8
         stream.extend_from_slice(&vec![b'z'; 300]);
         stream.push(b'\n'); // over the 128-byte cap, but in-block
         stream.extend_from_slice(b"{\"slot_end\":true}\n");
-        pump(Cursor::new(stream.clone()), &tx, 128);
-        drop(tx);
-        let msgs: Vec<ReaderMsg> = rx.iter().collect();
+        let msgs = pumped(stream.clone(), 128);
         assert_eq!(msgs.len(), 1, "one chunk in, one block out");
         match &msgs[0] {
             ReaderMsg::Block(b) => {

@@ -208,27 +208,41 @@ fn resume_run(
 ) -> (Output, Vec<u8>) {
     let (cursor, open) = recovered_state(ckpt, waldir);
     assert!(cursor < SLOTS, "daemon was killed after its horizon");
-    let out = dir.join(format!("resume-{edge_threads}.jsonl"));
-    let output = run_to_completion(
-        serve_cmd(
-            per_request,
-            &[
-                "--resume",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint-every",
-                "3",
-                "--wal",
-                waldir.to_str().expect("utf-8 path"),
-                "--edge-threads",
-                edge_threads,
-                "--telemetry",
-                out.to_str().expect("utf-8 path"),
-            ],
-        ),
+    resume_with(
+        dir,
+        waldir,
+        ckpt,
+        per_request,
+        &["--edge-threads", edge_threads],
         &remainder_stream(cursor, &open),
-    );
+    )
+}
+
+/// Resumes a crashed run over `lines` with `extra` flags; returns
+/// `(daemon output, telemetry bytes)`.
+fn resume_with(
+    dir: &Path,
+    waldir: &Path,
+    ckpt: &Path,
+    per_request: bool,
+    extra: &[&str],
+    lines: &[String],
+) -> (Output, Vec<u8>) {
+    let out = dir.join(format!("resume-{}.jsonl", extra.join("")));
+    let mut args = vec![
+        "--resume",
+        ckpt.to_str().expect("utf-8 path"),
+        "--checkpoint",
+        ckpt.to_str().expect("utf-8 path"),
+        "--checkpoint-every",
+        "3",
+        "--wal",
+        waldir.to_str().expect("utf-8 path"),
+        "--telemetry",
+        out.to_str().expect("utf-8 path"),
+    ];
+    args.extend_from_slice(extra);
+    let output = run_to_completion(serve_cmd(per_request, &args), lines);
     assert!(
         output.status.success(),
         "resume failed: {}",
@@ -292,11 +306,12 @@ fn sigkill_recovery_is_bit_identical() {
 }
 
 /// SIGKILL immediately after a group-committed burst: a batch of
-/// request lines delivered as one pipe write lands in the WAL as a
-/// single multi-pair `Arrivals` record (the group commit must actually
-/// happen, not degrade to per-line appends), the surviving log is a
-/// clean record prefix, and resuming from it reproduces the reference
-/// telemetry byte-for-byte.
+/// request lines delivered as one pipe write, several of them for the
+/// same edge, lands in the WAL as a single per-edge `Tally` (the group
+/// commit must actually happen, not degrade to per-line appends, and
+/// must count lines, not pairs), the surviving log is a clean record
+/// prefix, and resuming from it reproduces the reference telemetry
+/// byte-for-byte.
 #[test]
 fn group_commit_burst_survives_sigkill() {
     let dir = temp_dir("group-commit");
@@ -304,18 +319,31 @@ fn group_commit_burst_survives_sigkill() {
     let waldir = dir.join("wal");
     let ckpt = dir.join("state.ckpt");
 
-    // Slot 0 complete, then slot 1's request burst with no slot_end:
-    // the daemon is killed with slot 1 open but its burst durably
+    // Slot 0 complete, then slot 1's requests with no slot_end, each
+    // count above 1 sent as a 1-request line and a later line for the
+    // rest (per-slot totals, and so the trace, are unchanged): the
+    // daemon is killed with slot 1 open but its burst durably
     // acknowledged as one coalesced record.
     let lines = full_stream();
-    let open_requests = rows()[1].iter().filter(|&&c| c > 0).count();
-    let kill_after = lines
+    let slot0 = lines
         .iter()
         .position(|l| l.contains("slot_end"))
         .expect("slot 0 end")
-        + 1
-        + open_requests;
-    let burst = lines[..kill_after].join("\n") + "\n";
+        + 1;
+    let row = &rows()[1];
+    let line = |e: usize, c: u64| format!("{{\"edge\":{e},\"count\":{c}}}");
+    let mut open_lines: Vec<String> = (0..EDGES)
+        .filter(|&e| row[e] > 0)
+        .map(|e| line(e, 1))
+        .collect();
+    open_lines.extend(
+        (0..EDGES)
+            .filter(|&e| row[e] > 1)
+            .map(|e| line(e, row[e] - 1)),
+    );
+    let open_edges = row.iter().filter(|&&c| c > 0).count();
+    assert!(open_lines.len() > open_edges, "the burst repeats edges");
+    let burst = [&lines[..slot0], &open_lines[..]].concat().join("\n") + "\n";
 
     let mut child = serve_cmd(
         false,
@@ -359,26 +387,146 @@ fn group_commit_burst_survives_sigkill() {
     drop(stdin);
 
     // The surviving log is a readable prefix and the burst was group
-    // committed: at least one Arrivals record carries several pairs.
+    // committed: slot 1 is one tally covering every burst line, with
+    // one pair per edge.
     let recovery = wal::read_records(&waldir).expect("clean WAL prefix after SIGKILL");
+    let slot1: Vec<&wal::WalRecord> = recovery
+        .records
+        .iter()
+        .filter(|r| matches!(r, wal::WalRecord::Tally { slot: 1, .. }))
+        .collect();
     assert!(
-        recovery.records.iter().any(|r| matches!(
-            r,
-            wal::WalRecord::Arrivals { pairs, .. } if pairs.len() > 1
-        )),
-        "burst was not group committed: {:?}",
+        matches!(
+            slot1[..],
+            [wal::WalRecord::Tally { lines, pairs, .. }]
+                if *lines == open_lines.len() as u64 && pairs.len() == open_edges
+        ),
+        "burst was not group committed as one tally: {:?}",
         recovery.records
     );
     let tail = wal::replay(&recovery.records, EDGES, 0).expect("replay");
     assert_eq!(
-        tail.open_lines, open_requests as u64,
-        "group-committed record must replay per-line accounting"
+        tail.open_lines,
+        open_lines.len() as u64,
+        "a tally must replay per-line accounting"
     );
+    assert_eq!(&tail.open, row, "the burst's counts, per edge");
 
     let (_, trace) = resume_run(&dir, &waldir, &ckpt, false, "4");
     assert_eq!(
         trace, reference,
         "telemetry diverged after SIGKILL mid group-committed burst"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--slot-requests` across a crash: SIGKILL with the open slot's
+/// first lines logged as tallies, resume, and re-send the stream from
+/// the first line the WAL did not acknowledge. The resumed slot must
+/// close at the same line as the uninterrupted run, so the trace is
+/// byte-identical. The logged lines are all `count: 0`: they move no
+/// count, so only the tallies' line totals carry them across the crash.
+#[test]
+fn slot_requests_resume_mid_slot_from_a_tally() {
+    const PER_SLOT: usize = 6;
+    let dir = temp_dir("slot-requests");
+    let waldir = dir.join("wal");
+    let ckpt = dir.join("state.ckpt");
+    let per_slot = PER_SLOT.to_string();
+    // Edges 0–2 only, rotating per slot, so every slot repeats edges;
+    // counts 0, 0, 0, 1, 2, 3 within each slot.
+    let lines: Vec<String> = (0..SLOTS * PER_SLOT)
+        .map(|i| {
+            format!(
+                "{{\"edge\":{},\"count\":{}}}",
+                (i + i / PER_SLOT) % 3,
+                (i % PER_SLOT).saturating_sub(2)
+            )
+        })
+        .collect();
+
+    let reference = dir.join("ref.jsonl");
+    let output = run_to_completion(
+        serve_cmd(
+            false,
+            &[
+                "--slot-requests",
+                &per_slot,
+                "--telemetry",
+                reference.to_str().expect("utf-8 path"),
+            ],
+        ),
+        &lines,
+    );
+    assert!(
+        output.status.success(),
+        "reference run failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let reference = std::fs::read(&reference).expect("reference telemetry");
+
+    // Past the slot-3 checkpoint, halfway into slot 4.
+    let kill_after = 4 * PER_SLOT + PER_SLOT / 2;
+    run_and_kill(
+        serve_cmd(
+            false,
+            &[
+                "--slot-requests",
+                &per_slot,
+                "--checkpoint",
+                ckpt.to_str().expect("utf-8 path"),
+                "--checkpoint-every",
+                "3",
+                "--wal",
+                waldir.to_str().expect("utf-8 path"),
+                "--telemetry",
+                dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+            ],
+        ),
+        &lines,
+        kill_after,
+        &waldir,
+    );
+    let start = Checkpoint::load(&ckpt)
+        .expect("slot-3 checkpoint")
+        .arrivals
+        .len();
+    assert_eq!(start, 3);
+    let recovery = wal::read_records(&waldir).expect("scan WAL");
+    assert!(
+        recovery
+            .records
+            .iter()
+            .any(|r| matches!(r, wal::WalRecord::Tally { slot: 4, .. })),
+        "the open slot is logged as tallies: {:?}",
+        recovery.records
+    );
+    let tail = wal::replay(&recovery.records, EDGES, start as u64).expect("replay");
+    let acked = (start + tail.closed.len()) * PER_SLOT + tail.open_lines as usize;
+    assert_eq!(
+        (start + tail.closed.len(), tail.open_lines as usize),
+        (4, PER_SLOT / 2),
+        "slot 4 is open and partly logged"
+    );
+    assert_eq!(tail.open, vec![0; EDGES], "only count: 0 lines so far");
+    assert_eq!(acked, kill_after);
+
+    let (resumed, trace) = resume_with(
+        &dir,
+        &waldir,
+        &ckpt,
+        false,
+        &["--slot-requests", &per_slot],
+        &lines[acked..],
+    );
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(
+        stdout.contains(&format!("and {} open-slot request line(s)", PER_SLOT / 2)),
+        "resume banner: {stdout}"
+    );
+    assert_eq!(
+        trace, reference,
+        "telemetry diverged after a --slot-requests resume mid-slot"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,8 +4,8 @@
 //! Checkpoints bound what a crash can lose to a `--checkpoint-every`
 //! window; the WAL closes that window to (at most) the last un-synced
 //! frame. The daemon appends every *input* of the deterministic run —
-//! arrival batches, slot-close markers, checkpoint-installed markers —
-//! before applying it, so the durable state is always
+//! per-edge arrival tallies, slot-close markers, checkpoint-installed
+//! markers — before applying it, so the durable state is always
 //!
 //! ```text
 //! recovered run = last checkpoint + WAL tail replayed through the
@@ -26,7 +26,19 @@
 //! payload := 0x01 slot:u64-le n:u32-le (edge:u64-le count:u64-le)*n   arrivals
 //!          | 0x02 slot:u64-le                                          slot close
 //!          | 0x03 slot:u64-le                                          checkpoint installed
+//!          | 0x04 slot:u64-le lines:u64-le n:u32-le
+//!                 (edge:u64-le count:u64-le)*n                         tally
 //! ```
+//!
+//! The daemon logs arrivals only as tallies (`0x04`): one group commit
+//! is one frame holding, for each edge whose count moved since the
+//! last flush, the increment (ascending edge order, each edge at most
+//! once), plus the number of request lines the flush covers. So WAL
+//! bytes scale with the edges a flush touches, not with the lines it
+//! carries. A tally above [`MAX_TALLY_PAIRS`] pairs is split across
+//! frames by [`WalRecord::tally_frames`]. The per-line `0x01` record
+//! (one line per pair) is what earlier daemons wrote; it still decodes
+//! and replays, so their logs recover.
 //!
 //! On open, the **last** segment is scanned and truncated at the first
 //! torn or corrupt frame (a crash mid-append legitimately leaves one);
@@ -58,8 +70,15 @@ use cne_util::crc::crc32;
 use crate::crashpoint;
 
 /// Frames larger than this are rejected as corrupt rather than
-/// allocated: a legitimate arrival batch is a few dozen bytes.
+/// allocated, and [`Wal::append`] refuses to write one.
 pub const MAX_FRAME_BYTES: u32 = 1 << 20;
+
+/// Bytes of a tally payload before its pairs: tag, slot, lines, `n`.
+const TALLY_HEADER_BYTES: usize = 1 + 8 + 8 + 4;
+
+/// Most `(edge, count)` pairs one [`WalRecord::Tally`] frame can hold
+/// within [`MAX_FRAME_BYTES`] (65 534).
+pub const MAX_TALLY_PAIRS: usize = (MAX_FRAME_BYTES as usize - TALLY_HEADER_BYTES) / 16;
 
 /// Default segment-rotation threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
@@ -126,7 +145,8 @@ impl Default for WalOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// Raw arrivals accumulated into the (still open) slot `slot`:
-    /// `(edge, count)` pairs, additive within the slot.
+    /// `(edge, count)` pairs, additive within the slot, one request
+    /// line per pair. Written by earlier daemons; still replayed.
     Arrivals {
         /// The open slot the arrivals belong to.
         slot: u64,
@@ -144,20 +164,66 @@ pub enum WalRecord {
         /// The checkpoint's `next_slot`.
         slot: u64,
     },
+    /// One group commit into the (still open) slot `slot`: `lines`
+    /// request lines whose counts add up, per edge, to `pairs`.
+    Tally {
+        /// The open slot the arrivals belong to.
+        slot: u64,
+        /// Request lines the tally covers, `count: 0` lines included.
+        lines: u64,
+        /// `(edge index, request count)` increments, in ascending edge
+        /// order, each edge at most once.
+        pairs: Vec<(u64, u64)>,
+    },
+}
+
+fn encode_pairs(out: &mut Vec<u8>, pairs: &[(u64, u64)]) {
+    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for (edge, count) in pairs {
+        out.extend_from_slice(&edge.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+    }
+}
+
+fn decode_pairs(cursor: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>, String> {
+    let n = cursor.u32()?;
+    if u64::from(n) > (cursor.buf.len() - cursor.at) as u64 / 16 {
+        return Err(format!("record claims {n} pairs beyond the frame"));
+    }
+    (0..n).map(|_| Ok((cursor.u64()?, cursor.u64()?))).collect()
 }
 
 impl WalRecord {
+    /// The frames that log one tally: `pairs` in chunks of at most
+    /// [`MAX_TALLY_PAIRS`], with `lines` on the first. Always at least
+    /// one frame, since lines can move without any count (`count: 0`).
+    #[must_use]
+    pub fn tally_frames(slot: u64, lines: u64, pairs: &[(u64, u64)]) -> Vec<Self> {
+        let frames = pairs.len().div_ceil(MAX_TALLY_PAIRS).max(1);
+        (0..frames)
+            .map(|i| Self::Tally {
+                slot,
+                lines: if i == 0 { lines } else { 0 },
+                pairs: pairs[i * MAX_TALLY_PAIRS..((i + 1) * MAX_TALLY_PAIRS).min(pairs.len())]
+                    .to_vec(),
+            })
+            .collect()
+    }
+
     fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         match self {
             Self::Arrivals { slot, pairs } => {
                 out.push(0x01);
                 out.extend_from_slice(&slot.to_le_bytes());
-                out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for (edge, count) in pairs {
-                    out.extend_from_slice(&edge.to_le_bytes());
-                    out.extend_from_slice(&count.to_le_bytes());
-                }
+                encode_pairs(&mut out, pairs);
+            }
+            Self::Tally { slot, lines, pairs } => {
+                out.reserve(TALLY_HEADER_BYTES + 16 * pairs.len());
+                out.push(0x04);
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&lines.to_le_bytes());
+                encode_pairs(&mut out, pairs);
             }
             Self::SlotClose { slot } => {
                 out.push(0x02);
@@ -178,23 +244,20 @@ impl WalRecord {
         };
         let tag = cursor.u8()?;
         let record = match tag {
-            0x01 => {
-                let slot = cursor.u64()?;
-                let n = cursor.u32()?;
-                if u64::from(n) > (payload.len() as u64) / 16 {
-                    return Err(format!("arrival batch claims {n} pairs beyond the frame"));
-                }
-                let mut pairs = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    pairs.push((cursor.u64()?, cursor.u64()?));
-                }
-                Self::Arrivals { slot, pairs }
-            }
+            0x01 => Self::Arrivals {
+                slot: cursor.u64()?,
+                pairs: decode_pairs(&mut cursor)?,
+            },
             0x02 => Self::SlotClose {
                 slot: cursor.u64()?,
             },
             0x03 => Self::CheckpointInstalled {
                 slot: cursor.u64()?,
+            },
+            0x04 => Self::Tally {
+                slot: cursor.u64()?,
+                lines: cursor.u64()?,
+                pairs: decode_pairs(&mut cursor)?,
             },
             other => return Err(format!("unknown record tag 0x{other:02x}")),
         };
@@ -285,10 +348,8 @@ pub struct WalTail {
     /// `start_slot + closed.len()`.
     pub open: Vec<u64>,
     /// Request lines recorded for the open slot (the daemon's
-    /// `--slot-requests` counter). A group-committed `Arrivals` record
-    /// contributes one line per `(edge, count)` pair — the daemon
-    /// coalesces a burst of lines into a single record, and replay
-    /// must recover the same per-line accounting.
+    /// `--slot-requests` counter): a `Tally` contributes its `lines`,
+    /// an `Arrivals` record one line per `(edge, count)` pair.
     pub open_lines: u64,
 }
 
@@ -507,13 +568,22 @@ impl Wal {
     /// process never loses an acknowledged record.
     ///
     /// # Errors
-    /// Returns a message on any I/O failure; the caller decides
-    /// whether to retry or degrade.
+    /// Returns a message on any I/O failure, and for a record whose
+    /// payload exceeds [`MAX_FRAME_BYTES`] (recovery would read it as a
+    /// torn tail, so it is never written); the caller decides whether
+    /// to retry or degrade.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), String> {
+        let payload = record.encode_payload();
+        if payload.len() > MAX_FRAME_BYTES as usize {
+            return Err(format!(
+                "WAL record of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit \
+                 (split tallies with WalRecord::tally_frames)",
+                payload.len()
+            ));
+        }
         if self.segment_bytes >= self.options.segment_bytes {
             self.rotate()?;
         }
-        let payload = record.encode_payload();
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -609,12 +679,13 @@ impl Wal {
 ///
 /// # Errors
 /// Returns a message when the record sequence is inconsistent — slots
-/// out of order, arrivals for an edge outside the fleet, counts whose
-/// per-edge or per-slot sum overflows a `u64` (the daemon rejects such
-/// lines before logging them), or a checkpoint marker beyond the
-/// replayed state (records the marker's checkpoint superseded were
-/// garbage-collected, so this WAL cannot be replayed onto an *older*
-/// checkpoint).
+/// out of order, arrivals for an edge outside the fleet, a tally whose
+/// edges are not strictly ascending, counts whose per-edge or per-slot
+/// sum overflows a `u64` (the daemon rejects such lines before logging
+/// them), a request-line total that overflows, or a checkpoint marker
+/// beyond the replayed state (records the marker's checkpoint
+/// superseded were garbage-collected, so this WAL cannot be replayed
+/// onto an *older* checkpoint).
 pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Result<WalTail, String> {
     let mut tail = WalTail {
         start_slot,
@@ -628,7 +699,7 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
     let mut open_total: u64 = 0;
     for record in records {
         match record {
-            WalRecord::Arrivals { slot, pairs } => {
+            WalRecord::Arrivals { slot, pairs } | WalRecord::Tally { slot, pairs, .. } => {
                 if *slot < start_slot {
                     continue;
                 }
@@ -638,6 +709,18 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
                          {cursor} is open"
                     ));
                 }
+                let lines = match record {
+                    WalRecord::Tally { lines, pairs, .. } => {
+                        if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+                            return Err(format!(
+                                "WAL tally for slot {slot} lists its edges out of order \
+                                 or twice: this log was not written by a conforming daemon"
+                            ));
+                        }
+                        *lines
+                    }
+                    _ => pairs.len() as u64,
+                };
                 for (edge, count) in pairs {
                     let lane = tail
                         .open
@@ -655,7 +738,12 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
                     *lane = lane.checked_add(*count).ok_or_else(overflow)?;
                     open_total = open_total.checked_add(*count).ok_or_else(overflow)?;
                 }
-                tail.open_lines += pairs.len() as u64;
+                tail.open_lines = tail.open_lines.checked_add(lines).ok_or_else(|| {
+                    format!(
+                        "WAL request-line count for slot {slot} overflows (+{lines}): \
+                         this log was not written by a conforming daemon"
+                    )
+                })?;
             }
             WalRecord::SlotClose { slot } => {
                 if *slot < start_slot {
@@ -962,11 +1050,11 @@ mod tests {
         assert_eq!(tail.open_lines, 2);
     }
 
-    /// A group-committed record (one `Arrivals` frame carrying a whole
-    /// burst of request lines) replays with per-line accounting: the
-    /// open slot's `open_lines` counts pairs, not frames, so a resumed
-    /// daemon's `--slot-requests` trigger fires at the same line as
-    /// one that never crashed.
+    /// An earlier daemon's group-committed record (one `Arrivals`
+    /// frame carrying a whole burst of request lines) replays with
+    /// per-line accounting: the open slot's `open_lines` counts pairs,
+    /// not frames, so a resumed daemon's `--slot-requests` trigger
+    /// fires at the same line as one that never crashed.
     #[test]
     fn group_committed_arrivals_replay_per_line() {
         let records = vec![
@@ -1006,6 +1094,292 @@ mod tests {
         let equivalent = replay(&singles, 2, 0).expect("replay");
         assert_eq!(equivalent.open, tail.open);
         assert_eq!(equivalent.open_lines, tail.open_lines);
+    }
+
+    fn tally(slot: u64, lines: u64, pairs: Vec<(u64, u64)>) -> WalRecord {
+        WalRecord::Tally { slot, lines, pairs }
+    }
+
+    #[test]
+    fn tally_round_trips_through_the_codec() {
+        for pairs in [
+            vec![(0, 2), (4, 5), (9, 0)],
+            Vec::new(),
+            vec![(u64::MAX, u64::MAX)],
+        ] {
+            let n = pairs.len();
+            let record = tally(3, u64::MAX - 1, pairs);
+            let payload = record.encode_payload();
+            assert_eq!(payload.len(), TALLY_HEADER_BYTES + 16 * n);
+            assert_eq!(WalRecord::decode_payload(&payload), Ok(record));
+        }
+        // Byte layout: tag, slot, lines, n, then the pairs.
+        let payload = tally(2, 9, vec![(1, 6)]).encode_payload();
+        let mut expected = vec![0x04];
+        for word in [2u64, 9] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        for word in [1u64, 6] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(payload, expected);
+    }
+
+    #[test]
+    fn decode_rejects_a_tally_claiming_pairs_beyond_its_frame() {
+        let mut payload = tally(0, 2, vec![(0, 1), (1, 1)]).encode_payload();
+        // n = 3 with only two pairs present.
+        payload[17..21].copy_from_slice(&3u32.to_le_bytes());
+        let err = WalRecord::decode_payload(&payload).unwrap_err();
+        assert!(err.contains("beyond the frame"), "{err}");
+        // A huge n is refused before anything is allocated.
+        payload[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WalRecord::decode_payload(&payload)
+            .unwrap_err()
+            .contains("beyond the frame"));
+        // A short pair and trailing bytes are both errors.
+        let full = tally(0, 1, vec![(0, 1)]).encode_payload();
+        assert!(WalRecord::decode_payload(&full[..full.len() - 1]).is_err());
+        let mut long = full.clone();
+        long.push(0);
+        assert!(WalRecord::decode_payload(&long)
+            .unwrap_err()
+            .contains("trailing"));
+    }
+
+    /// A `count: 0` line moves no count but is still a request line:
+    /// it is logged as a tally with `lines` and no pairs, and replay
+    /// counts it toward the open slot's `--slot-requests` total.
+    #[test]
+    fn a_zero_count_line_is_logged_as_a_line() {
+        let frames = WalRecord::tally_frames(0, 1, &[]);
+        assert_eq!(frames, vec![tally(0, 1, Vec::new())]);
+        let records = [frames, vec![tally(0, 2, vec![(1, 3)])]].concat();
+        let tail = replay(&records, 2, 0).expect("replay");
+        assert_eq!(tail.open, vec![0, 3]);
+        assert_eq!(tail.open_lines, 3);
+        assert!(!tail.is_empty(), "a logged zero-count line is information");
+    }
+
+    #[test]
+    fn tally_count_and_line_overflow_are_errors() {
+        let bad = vec![tally(0, 1, vec![(0, u64::MAX)]), tally(0, 1, vec![(0, 1)])];
+        let err = replay(&bad, 2, 0).unwrap_err();
+        assert!(err.contains("overflow the request count"), "{err}");
+        let bad = vec![tally(0, 1, vec![(0, u64::MAX)]), tally(0, 1, vec![(1, 1)])];
+        assert!(replay(&bad, 2, 0).unwrap_err().contains("slot 0"));
+
+        let bad = vec![tally(4, u64::MAX, Vec::new()), tally(4, 1, Vec::new())];
+        let err = replay(&bad, 1, 4).unwrap_err();
+        assert!(
+            err.contains("request-line count for slot 4 overflows"),
+            "{err}"
+        );
+        // An old per-line record on top of a saturated line count too.
+        let bad = vec![
+            tally(0, u64::MAX, Vec::new()),
+            WalRecord::Arrivals {
+                slot: 0,
+                pairs: vec![(0, 1)],
+            },
+        ];
+        assert!(replay(&bad, 1, 0).unwrap_err().contains("overflows"));
+
+        // Edges out of order or repeated are a malformed tally.
+        for pairs in [vec![(1, 1), (0, 1)], vec![(0, 1), (0, 1)]] {
+            let err = replay(&[tally(0, 2, pairs)], 2, 0).unwrap_err();
+            assert!(err.contains("out of order or twice"), "{err}");
+        }
+    }
+
+    /// Logs written by earlier daemons hold per-line `0x01` records:
+    /// byte images of them still scan and replay one line per pair,
+    /// and a tally appended after them (a new daemon resuming the log)
+    /// continues the same open slot.
+    #[test]
+    fn per_line_records_from_earlier_daemons_still_replay() {
+        let dir = temp_dir("legacy");
+        let word = |w: u64| w.to_le_bytes().to_vec();
+        let mut bytes = Vec::new();
+        for payload in [
+            [vec![0x01], word(0), 2u32.to_le_bytes().to_vec()].concat(),
+            [vec![0x02], word(0)].concat(),
+            [vec![0x01], word(1), 1u32.to_le_bytes().to_vec()].concat(),
+        ] {
+            let pairs: &[u64] = match (payload[0], payload[1]) {
+                (0x01, 0) => &[0, 3, 0, 4],
+                (0x01, 1) => &[1, 5],
+                _ => &[],
+            };
+            let payload = [payload, pairs.iter().flat_map(|&w| word(w)).collect()].concat();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        std::fs::write(segment_path(&dir, 1), &bytes).expect("write legacy segment");
+        let (mut wal, recovery) = Wal::open(&dir, WalOptions::default()).expect("open");
+        assert!(recovery.torn.is_none());
+        assert_eq!(
+            recovery.records,
+            vec![
+                WalRecord::Arrivals {
+                    slot: 0,
+                    pairs: vec![(0, 3), (0, 4)],
+                },
+                WalRecord::SlotClose { slot: 0 },
+                WalRecord::Arrivals {
+                    slot: 1,
+                    pairs: vec![(1, 5)],
+                },
+            ]
+        );
+        let tail = replay(&recovery.records, 2, 0).expect("replay");
+        assert_eq!(tail.closed, vec![vec![7, 0]]);
+        assert_eq!((tail.open.clone(), tail.open_lines), (vec![0, 5], 1));
+
+        wal.append(&tally(1, 3, vec![(0, 2), (1, 1)]))
+            .expect("append");
+        drop(wal);
+        let records = read_records(&dir).expect("rescan").records;
+        let tail = replay(&records, 2, 0).expect("replay");
+        assert_eq!((tail.open, tail.open_lines), (vec![2, 6], 4));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tally touching more edges than one frame holds is refused by
+    /// `append` whole, and logged split by `tally_frames`: the split
+    /// frames read back and replay exactly like the single record.
+    #[test]
+    fn an_oversized_tally_is_refused_and_split_across_frames() {
+        const EDGES: usize = 70_000;
+        let pairs: Vec<(u64, u64)> = (0..EDGES as u64).map(|e| (e, e % 7 + 1)).collect();
+        let whole = tally(0, 90_000, pairs.clone());
+        let dir = temp_dir("oversize");
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+        let err = wal.append(&whole).unwrap_err();
+        assert!(err.contains("frame limit"), "{err}");
+
+        let frames = WalRecord::tally_frames(0, 90_000, &pairs);
+        assert_eq!(frames.len(), 2);
+        assert!(matches!(
+            &frames[0],
+            WalRecord::Tally { lines: 90_000, pairs, .. } if pairs.len() == MAX_TALLY_PAIRS
+        ));
+        assert!(matches!(&frames[1], WalRecord::Tally { lines: 0, .. }));
+        let closed = WalRecord::SlotClose { slot: 0 };
+        for frame in frames.iter().chain([&closed]) {
+            wal.append(frame).expect("append a split frame");
+        }
+        wal.append(&WalRecord::tally_frames(1, 1, &[(69_999, 4)])[0])
+            .expect("append");
+        drop(wal);
+        let recovery = read_records(&dir).expect("read");
+        assert!(recovery.torn.is_none(), "{:?}", recovery.torn);
+        let replayed = replay(&recovery.records, EDGES, 0).expect("replay split");
+        let single = replay(&[whole, closed, tally(1, 1, vec![(69_999, 4)])], EDGES, 0)
+            .expect("replay single");
+        assert_eq!(replayed, single);
+        assert_eq!(replayed.open_lines, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The daemon's tally bookkeeping, reduced to what the log sees:
+    /// the open slot's counts and line total, and the watermark of
+    /// what has been logged so far.
+    struct TallyModel {
+        counts: Vec<u64>,
+        logged: Vec<u64>,
+        lines: u64,
+        logged_lines: u64,
+    }
+
+    impl TallyModel {
+        fn new(num_edges: usize) -> Self {
+            Self {
+                counts: vec![0; num_edges],
+                logged: vec![0; num_edges],
+                lines: 0,
+                logged_lines: 0,
+            }
+        }
+
+        fn flush(&mut self, slot: u64, out: &mut Vec<WalRecord>) {
+            if self.lines == self.logged_lines {
+                return;
+            }
+            let pairs: Vec<(u64, u64)> = (0..self.counts.len())
+                .filter(|&e| self.counts[e] != self.logged[e])
+                .map(|e| (e as u64, self.counts[e] - self.logged[e]))
+                .collect();
+            out.extend(WalRecord::tally_frames(
+                slot,
+                self.lines - self.logged_lines,
+                &pairs,
+            ));
+            self.logged.clone_from(&self.counts);
+            self.logged_lines = self.lines;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// A random one-line-per-pair stream replays to the same tail
+        /// whether it was logged per line (`Arrivals`), as tallies at
+        /// random flush points, or per line up to a random point and as
+        /// tallies after it (a new daemon resuming an old daemon's
+        /// log, its watermark seeded with the replayed open slot).
+        #[test]
+        fn tallies_replay_like_per_line_records(
+            num_edges in 1usize..6,
+            steps in proptest::collection::vec((0u8..8, 0usize..6, 0u64..4, 0u8..3), 0..80),
+            upgrade_at in 0usize..80,
+            start_slot in 0u64..3,
+        ) {
+            let mut slot = 0;
+            let (mut per_line, mut tallies, mut mixed) = (Vec::new(), Vec::new(), Vec::new());
+            let mut batched = TallyModel::new(num_edges);
+            let mut resumed = TallyModel::new(num_edges);
+            for (i, &(kind, edge, count, flush)) in steps.iter().enumerate() {
+                let upgraded = i >= upgrade_at;
+                if kind == 0 {
+                    batched.flush(slot, &mut tallies);
+                    resumed.flush(slot, &mut mixed);
+                    for log in [&mut per_line, &mut tallies, &mut mixed] {
+                        log.push(WalRecord::SlotClose { slot });
+                    }
+                    batched = TallyModel::new(num_edges);
+                    resumed = TallyModel::new(num_edges);
+                    slot += 1;
+                    continue;
+                }
+                let edge = edge % num_edges;
+                let line = WalRecord::Arrivals { slot, pairs: vec![(edge as u64, count)] };
+                for model in [&mut batched, &mut resumed] {
+                    model.counts[edge] += count;
+                    model.lines += 1;
+                }
+                if !upgraded {
+                    mixed.push(line.clone());
+                    resumed.logged.clone_from(&resumed.counts);
+                    resumed.logged_lines = resumed.lines;
+                }
+                per_line.push(line);
+                if flush == 0 {
+                    batched.flush(slot, &mut tallies);
+                    if upgraded {
+                        resumed.flush(slot, &mut mixed);
+                    }
+                }
+            }
+            batched.flush(slot, &mut tallies);
+            resumed.flush(slot, &mut mixed);
+
+            let expected = replay(&per_line, num_edges, start_slot);
+            proptest::prop_assert_eq!(replay(&tallies, num_edges, start_slot), expected.clone());
+            proptest::prop_assert_eq!(replay(&mixed, num_edges, start_slot), expected);
+        }
     }
 
     #[test]

@@ -48,10 +48,35 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The exact record stream the daemon would append for slots
-/// `0..upto`: one `Arrivals` frame per non-empty request line, then a
-/// `SlotClose` per slot.
+/// A record stream the daemon could append for slots `0..upto`, one
+/// request line per edge with traffic: a `Tally` per flush, flushing
+/// after every second line (as a block boundary would) and before each
+/// `SlotClose`.
 fn daemon_records(arrivals: &[Vec<u64>], upto: usize) -> Vec<WalRecord> {
+    let mut records = Vec::new();
+    for t in 0..upto {
+        let lines: Vec<(u64, u64)> = arrivals
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row[t] > 0)
+            .map(|(edge, row)| (edge as u64, row[t]))
+            .collect();
+        for flush in lines.chunks(2) {
+            records.push(WalRecord::Tally {
+                slot: t as u64,
+                lines: flush.len() as u64,
+                pairs: flush.to_vec(),
+            });
+        }
+        records.push(WalRecord::SlotClose { slot: t as u64 });
+    }
+    records
+}
+
+/// The record stream earlier daemons appended for slots `0..upto`: one
+/// per-line `Arrivals` frame per non-empty request line, then a
+/// `SlotClose` per slot. Such logs must still recover.
+fn per_line_records(arrivals: &[Vec<u64>], upto: usize) -> Vec<WalRecord> {
     let mut records = Vec::new();
     for t in 0..upto {
         for (edge, row) in arrivals.iter().enumerate() {
@@ -142,33 +167,39 @@ fn recover_and_finish(
 }
 
 /// A full WAL replayed from slot 0 reconstructs the run byte-for-byte
-/// in both serve modes at 1 and 4 edge threads.
+/// in both serve modes at 1 and 4 edge threads, whether it holds
+/// tallies or an earlier daemon's per-line records.
 #[test]
 fn full_wal_replay_is_bit_identical() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
-    let dir = temp_dir("full");
-    let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
-    for record in daemon_records(&arrivals, cfg.horizon) {
-        wal.append(&record).expect("append");
-    }
-    drop(wal);
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals, serve_mode);
-        for edge_threads in [1usize, 4] {
-            let (record, trace) =
-                recover_and_finish(&zoo, &cfg, &arrivals, &dir, serve_mode, edge_threads);
-            assert_eq!(
-                record, ref_record,
-                "record diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
-            assert_eq!(
-                trace, ref_trace,
-                "trace diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
+    for (format, records) in [
+        ("tally", daemon_records(&arrivals, cfg.horizon)),
+        ("per-line", per_line_records(&arrivals, cfg.horizon)),
+    ] {
+        let dir = temp_dir(&format!("full-{format}"));
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+        for record in &records {
+            wal.append(record).expect("append");
         }
+        drop(wal);
+        for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
+            let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals, serve_mode);
+            for edge_threads in [1usize, 4] {
+                let (record, trace) =
+                    recover_and_finish(&zoo, &cfg, &arrivals, &dir, serve_mode, edge_threads);
+                assert_eq!(
+                    record, ref_record,
+                    "record diverged ({format}, {serve_mode:?}, {edge_threads} edge threads)"
+                );
+                assert_eq!(
+                    trace, ref_trace,
+                    "trace diverged ({format}, {serve_mode:?}, {edge_threads} edge threads)"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cuts the log at a spread of byte offsets — frame boundaries and torn
@@ -199,6 +230,7 @@ fn every_truncation_point_recovers_bit_identically() {
             // frame = len(4) + crc(4) + payload
             let payload = match r {
                 WalRecord::Arrivals { pairs, .. } => 1 + 8 + 4 + 16 * pairs.len(),
+                WalRecord::Tally { pairs, .. } => 1 + 8 + 8 + 4 + 16 * pairs.len(),
                 WalRecord::SlotClose { .. } | WalRecord::CheckpointInstalled { .. } => 1 + 8,
             };
             *acc += 8 + payload;
@@ -279,9 +311,9 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
         for record in daemon_records(&arrivals, m)
             .into_iter()
             .filter(|r| match r {
-                WalRecord::Arrivals { slot, .. } | WalRecord::SlotClose { slot } => {
-                    *slot >= k as u64
-                }
+                WalRecord::Arrivals { slot, .. }
+                | WalRecord::Tally { slot, .. }
+                | WalRecord::SlotClose { slot } => *slot >= k as u64,
                 WalRecord::CheckpointInstalled { .. } => true,
             })
         {
@@ -290,8 +322,9 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
         // A partial batch for the open slot m: only the first edge
         // with traffic gets its line logged before the crash.
         if let Some(edge) = (0..cfg.num_edges).find(|&e| arrivals[e][m] > 0) {
-            wal.append(&WalRecord::Arrivals {
+            wal.append(&WalRecord::Tally {
                 slot: m as u64,
+                lines: 1,
                 pairs: vec![(edge as u64, arrivals[edge][m])],
             })
             .expect("append");
